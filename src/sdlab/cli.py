@@ -90,9 +90,19 @@ def _sigma_from_cfg(cfg: RunConfig, q: Quiver) -> st.StabilityCondition:
     if cfg.use_gepner:
         return st.gepner_construct(q)
     if cfg.sigma_path is not None:
-        with open(cfg.sigma_path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        sigma = st.sigma_from_json(obj)
+        try:
+            with open(cfg.sigma_path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise ConfigError("cannot read --sigma file: %s" % exc) from exc
+        except ValueError as exc:
+            raise ConfigError("--sigma file is not JSON: %s" % exc) from exc
+        try:
+            sigma = st.sigma_from_json(obj)
+        except KeyError as exc:
+            raise ConfigError("--sigma file lacks key %s" % exc) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("--sigma file is malformed: %s" % exc) from exc
         if sigma.quiver != q:
             raise ConfigError("--sigma file is for a different quiver")
         return sigma
@@ -450,11 +460,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _floats(text: str) -> tuple:
+def _finite(text: str) -> float:
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip() != "")
+        x = float(text)
     except ValueError as exc:
-        raise ConfigError("bad numeric list %r" % text) from exc
+        raise ConfigError("bad number %r" % text) from exc
+    if not math.isfinite(x):
+        raise ConfigError("%r is not a finite number" % text)
+    return x
+
+
+def _floats(text: str) -> tuple:
+    return tuple(_finite(x) for x in text.split(",") if x.strip() != "")
 
 
 def _ints(text: str) -> tuple:
@@ -506,7 +523,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("entropy", help="categorical entropy estimate")
     p.add_argument("--quiver", required=True)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite, default=None)
     p.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
     p.add_argument("--series", action="store_true", help="emit the n,m,dim table")
     p.add_argument("--nmax", dest="n_max", type=int, default=30)
@@ -541,11 +558,11 @@ def build_parser() -> _Parser:
             _add_sigma_source(sp)
         if name == "gepner":
             sp.add_argument("--check", action="store_true")
-            sp.add_argument("--mu", type=float, default=None)
+            sp.add_argument("--mu", type=_finite, default=None)
         if name == "restrict":
             _ = sp.add_argument("--subset", type=_ints, required=True)
         if name == "mass":
-            sp.add_argument("--t", type=float, default=None)
+            sp.add_argument("--t", type=_finite, default=None)
             sp.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
             sp.add_argument("--nmax", dest="n_max", type=int, default=30)
         _add_common(sp)
@@ -553,13 +570,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gepner", help="alias for stab gepner")
     p.add_argument("--quiver", required=True)
     p.add_argument("--check", action="store_true")
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--mu", type=_finite, default=None)
     _add_common(p)
 
     p = sub.add_parser("curve", help="curve global dimension bounds")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--H", dest="big_h", type=float, default=None)
+    p.add_argument("--beta", type=_finite, default=0.0)
+    p.add_argument("--H", dest="big_h", type=_finite, default=None)
     p.add_argument("--h-grid", dest="h_grid", type=_floats, default=None)
     _add_common(p)
 

@@ -110,15 +110,6 @@ class DynkinClass:
     fcy_pair: tuple[int, int]  # (h, h-2)
 
 
-_COXETER_H = {
-    ("A",): lambda n: n + 1,
-    ("D",): lambda n: 2 * n - 2,
-    ("E", 6): lambda n: 12,
-    ("E", 7): lambda n: 18,
-    ("E", 8): lambda n: 30,
-}
-
-
 def _bipartite_orientation(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Orient tree edges color0 -> color1 (2-coloring from vertex 1), so
     every vertex is a pure source or pure sink."""

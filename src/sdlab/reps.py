@@ -3,6 +3,9 @@
 Hom spaces are computed by solving the commuting-square linear system, the
 AR translate by sink/source reflection-functor sweeps, and the catalog of
 indecomposables by knitting the tau-inverse orbits of the projectives.
+Every cataloged indecomposable lies in a directed component, so the
+catalog's hom/ext tables are read off the Euler form; exact hom-space solves
+remain only in the monomorphism test and as the tests' oracle.
 Everything here is exact; no floats.
 """
 
@@ -487,7 +490,13 @@ class IndecCatalog:
                 # dim Hom(P_i, N) = dim N at vertex i; valid for virtual N too
                 self._hom[key] = self.entries[b].dim_vector[src.proj_vertex - 1]
             else:
-                self._hom[key] = hom_dim(self._rep(a), self._rep(b))
+                # virtual entries still raise CatalogIncomplete here
+                self._rep(a)
+                self._rep(b)
+                # every cataloged entry lies in a directed component, where
+                # Hom and Ext^1 are never both nonzero: hom = max(chi, 0)
+                chi = euler_form(self.quiver, src.dim_vector, self.entries[b].dim_vector)
+                self._hom[key] = max(chi, 0)
         return self._hom[key]
 
     def ext_dim(self, a: int, b: int) -> int:
@@ -505,10 +514,13 @@ class IndecCatalog:
         return self._ext[key]
 
     def mono(self, a: int, b: int) -> bool:
-        """Does a monomorphism entry_a -> entry_b exist?"""
+        """Does a monomorphism entry_a -> entry_b exist?  Without a nonzero
+        map there is none, so the exact search runs only when Hom is nonzero."""
         key = (a, b)
         if key not in self._mono:
-            self._mono[key] = exists_mono(self._rep(a), self._rep(b))
+            self._mono[key] = self.hom_dim(a, b) > 0 and exists_mono(
+                self._rep(a), self._rep(b)
+            )
         return self._mono[key]
 
     def require_complete(self) -> None:

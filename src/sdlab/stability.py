@@ -5,7 +5,9 @@ with its semistable records: triples (catalog id, shift, phase) listing the
 semistable indecomposable objects whose phase lies in the heart window
 (0, 1].  Autoequivalence and rotation actions move the records; every
 derived quantity (global dimension, masses, exceptional collections) is
-computed from the records and the catalog's exact hom/ext tables.
+computed from the records and the catalog's hom/ext tables, which are read
+off the Euler form (every cataloged indecomposable lies in a directed
+component).
 """
 
 from __future__ import annotations
@@ -107,9 +109,10 @@ def _assemble(q: Quiver, cat: IndecCatalog, z_simples, triples) -> StabilityCond
 def make_stability(q: Quiver, z_simples) -> StabilityCondition:
     """Stability condition with heart mod(kQ) from charges on the simples.
 
-    Every charge must lie in the upper half plane extended by the negative
-    real axis.  Semistability of an indecomposable M is decided against all
-    indecomposable subobjects: no submodule may carry a larger phase.
+    Every charge must be finite and lie in the upper half plane extended by
+    the negative real axis.  Semistability of an indecomposable M is decided
+    against all indecomposable subobjects: no submodule may carry a larger
+    phase.
     """
     z_simples = tuple(complex(z) for z in z_simples)
     if len(z_simples) != q.n:
@@ -117,6 +120,8 @@ def make_stability(q: Quiver, z_simples) -> StabilityCondition:
             "expected %d charges, got %d" % (q.n, len(z_simples))
         )
     for i, z in enumerate(z_simples, start=1):
+        if not cmath.isfinite(z):
+            raise NotAStabilityFunction("charge %r at vertex %d is not finite" % (z, i))
         if not (z.imag > 0 or (z.imag == 0 and z.real < 0)):
             raise NotAStabilityFunction(
                 "charge %r at vertex %d leaves the closed upper half plane" % (z, i)

@@ -162,6 +162,51 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def _error_type(err):
+    payload = json.loads(err)
+    assert set(payload) == {"error"} and payload["error"]["message"]
+    return payload["error"]["type"]
+
+
+def test_nonfinite_charge_exits_three(capsys):
+    code, out, err = _run(capsys, ["stab", "gldim", "--quiver", "A2", "--z=nan,1;1,1"])
+    assert code == 3 and out == ""
+    assert _error_type(err) == "NotAStabilityFunction"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["entropy", "--quiver", "A2", "--t", "nan"], ["volume", "--quiver", "A2", "--lam", "1,nan"]],
+    ids=["float-option", "float-list"],
+)
+def test_nan_float_input_exits_two(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _error_type(err) == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "text, code, error",
+    [
+        (None, 2, "ConfigError"),
+        ("{not json", 2, "ConfigError"),
+        ('{"quiver": "A2"}', 2, "ConfigError"),
+        ('{"quiver": "A2", "z_simples": [[1.0, Infinity], [1.0, 1.0]]}', 3,
+         "NotAStabilityFunction"),
+    ],
+    ids=["missing-file", "not-json", "missing-key", "nonfinite-charge"],
+)
+def test_bad_sigma_file_exits_with_envelope(capsys, tmp_path, text, code, error):
+    sigma_path = tmp_path / "sigma.json"
+    if text is not None:
+        sigma_path.write_text(text)
+    got, out, err = _run(
+        capsys, ["stab", "gldim", "--quiver", "A2", "--sigma", str(sigma_path)]
+    )
+    assert got == code and out == ""
+    assert _error_type(err) == error
+
+
 def test_out_writes_same_bytes(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = _run(

@@ -1,5 +1,7 @@
 import pytest
 
+import sdlab.reps
+
 from sdlab import (
     CatalogIncomplete,
     NotARoot,
@@ -8,6 +10,7 @@ from sdlab import (
     ar_translate,
     catalog_for,
     exists_mono,
+    euler_form,
     ext1_dim,
     hom_dim,
     indecomposable_from_root,
@@ -132,8 +135,8 @@ def test_catalog_sizes_match_root_counts():
         assert set(cat.by_dim) == set(positive_roots(q))
 
 
-def test_catalog_hom_table_consistency():
-    cat = catalog_for(A3)
+def _assert_hom_table_matches_exact(q):
+    cat = catalog_for(q)
     for a in range(cat.size()):
         for b in range(cat.size()):
             ra, rb = cat.entries[a].rep, cat.entries[b].rep
@@ -141,6 +144,49 @@ def test_catalog_hom_table_consistency():
             assert cat.ext_dim(a, b) == ext1_dim(ra, rb)
         assert cat.hom_dim(a, a) == 1
         assert cat.ext_dim(a, a) == 0
+
+
+def test_catalog_hom_table_consistency():
+    _assert_hom_table_matches_exact(A3)
+
+
+@pytest.mark.parametrize(
+    "text", ["A5", "D6", "E6", "vertices:6; arrows:1->2,2->3,3->4,4->5,6->3"],
+    ids=["A5", "D6", "E6", "E6-nonbipartite"],
+)
+def test_catalog_hom_table_consistency_beyond_a3(text):
+    _assert_hom_table_matches_exact(parse_quiver(text))
+
+
+def test_catalog_tables_need_no_exact_solve(monkeypatch):
+    def no_solve(m, n):
+        raise AssertionError("hom_space called while filling the catalog tables")
+
+    cat = IndecCatalog(parse_quiver("E6"))
+    monkeypatch.setattr(sdlab.reps, "hom_space", no_solve)
+    for a in range(cat.size()):
+        for b in range(cat.size()):
+            assert cat.hom_dim(a, b) >= 0
+            assert cat.ext_dim(a, b) >= 0
+            assert cat.hom_dim(a, b) == 0 or cat.ext_dim(a, b) == 0
+
+
+def test_mono_search_runs_only_where_hom_is_nonzero(monkeypatch):
+    cat = IndecCatalog(D4)
+    calls = []
+    exact = sdlab.reps.exists_mono
+
+    def recording(n, m):
+        calls.append((n.dim_vector, m.dim_vector))
+        return exact(n, m)
+
+    monkeypatch.setattr(sdlab.reps, "exists_mono", recording)
+    for a in range(cat.size()):
+        for b in range(cat.size()):
+            assert cat.mono(a, b) == exact(cat.entries[a].rep, cat.entries[b].rep)
+    assert calls
+    for dn, dm in calls:
+        assert euler_form(D4, dn, dm) > 0
 
 
 def test_catalog_json_roundtrip(tmp_path):

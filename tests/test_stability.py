@@ -45,6 +45,9 @@ def test_make_stability_input_guards():
         make_stability(A2, (0j, 1j))
     with pytest.raises(CatalogIncomplete):
         make_stability(parse_quiver("K2"), (1j, 1j))
+    for bad in (complex(float("nan"), 1.0), complex(1.0, float("inf")), complex(float("-inf"), 0.0)):
+        with pytest.raises(NotAStabilityFunction):
+            make_stability(A2, (bad, 1j))
 
 
 def test_gepner_point_on_a2():
