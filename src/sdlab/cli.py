@@ -15,10 +15,7 @@ import csv
 import io
 import json
 import math
-import os
-import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -37,61 +34,20 @@ from .quivers import (
 )
 from .reps import catalog_for
 
-_PRESET_RE = re.compile(r"(A\d+|D\d+|E[678]|K\d+)\Z")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    quiver: str | None = None
-    sigma_path: str | None = None
-    z: tuple | None = None
-    use_gepner: bool = False
-    use_sample: bool = False
-    t: float | None = None
-    t_grid: tuple | None = None
-    series: bool = False
-    n_max: int = 30
-    budget: int = ent.DEFAULT_BUDGET
-    lam: tuple | None = None
-    mu: float | None = None
-    check: bool = False
-    subset: tuple | None = None
-    genus: int | None = None
-    beta: float = 0.0
-    big_h: float | None = None
-    h_grid: tuple | None = None
-    quivers: tuple = ("A2", "A3", "D4")
-    samples: int = 50
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    cache_dir: str = field(default_factory=lambda: os.environ.get("SDLAB_CACHE", "./.sdlab-cache"))
-
-
-def _quiver_from_cfg(cfg: RunConfig) -> Quiver:
-    if cfg.quiver is None:
-        raise ConfigError("this command needs --quiver")
-    text = cfg.quiver.strip()
-    q = parse_quiver(text)
-    key = text if _PRESET_RE.fullmatch(text) else None
-    catalog_for(q, cache_dir=cfg.cache_dir, cache_key=key)
-    return q
-
-
-def _sigma_from_cfg(cfg: RunConfig, q: Quiver) -> st.StabilityCondition:
-    sources = sum([cfg.z is not None, cfg.use_gepner, cfg.use_sample, cfg.sigma_path is not None])
+def _sigma_from_args(ns: argparse.Namespace, q: Quiver) -> st.StabilityCondition:
+    sources = sum([ns.z is not None, ns.use_gepner, ns.use_sample, ns.sigma_path is not None])
     if sources != 1:
         raise ConfigError(
             "choose exactly one stability source: --z, --gepner, --sample, or --sigma"
         )
-    if cfg.z is not None:
-        return st.make_stability(q, cfg.z)
-    if cfg.use_gepner:
+    if ns.z is not None:
+        return st.make_stability(q, ns.z)
+    if ns.use_gepner:
         return st.gepner_construct(q)
-    if cfg.sigma_path is not None:
+    if ns.sigma_path is not None:
         try:
-            with open(cfg.sigma_path, "r", encoding="utf-8") as fh:
+            with open(ns.sigma_path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
         except OSError as exc:
             raise ConfigError("cannot read --sigma file: %s" % exc) from exc
@@ -106,7 +62,7 @@ def _sigma_from_cfg(cfg: RunConfig, q: Quiver) -> st.StabilityCondition:
         if sigma.quiver != q:
             raise ConfigError("--sigma file is for a different quiver")
         return sigma
-    return st.sample_stability(q, cfg.seed)
+    return st.sample_stability(q, ns.seed)
 
 
 def _records_table(sigma: st.StabilityCondition) -> dict:
@@ -122,8 +78,8 @@ def _records_table(sigma: st.StabilityCondition) -> dict:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_quiver(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
+def _cmd_quiver(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
     ed = coxeter_matrix(q)
     dyn = classify_dynkin(q) if q.is_connected() else None
     report = {
@@ -147,10 +103,10 @@ def _cmd_quiver(cfg: RunConfig) -> dict:
     return report
 
 
-def _cmd_entropy(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    if cfg.series:
-        series = ent.entropy_series(q, cfg.n_max, cfg.budget)
+def _cmd_entropy(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    if ns.series:
+        series = ent.entropy_series(q, ns.n_max, ns.budget)
         rows = []
         for n, lev in enumerate(series.levels):
             for m in sorted(lev):
@@ -158,63 +114,63 @@ def _cmd_entropy(cfg: RunConfig) -> dict:
         return {
             "kind": "entropy-series",
             "quiver": q.text(),
-            "n_max": cfg.n_max,
+            "n_max": ns.n_max,
             "table": {"header": ["n", "m", "dim"], "rows": rows},
         }
-    if cfg.t is not None and cfg.t_grid is not None:
+    if ns.t is not None and ns.t_grid is not None:
         raise ConfigError("give --t or --t-grid, not both")
-    if cfg.t_grid is not None:
-        prof = ent.entropy_profile(q, cfg.t_grid, cfg.n_max, cfg.budget)
-        rows = [[t, ent.entropy_estimate(q, t, cfg.n_max, cfg.budget)] for t in cfg.t_grid]
+    if ns.t_grid is not None:
+        prof = ent.entropy_profile(q, ns.t_grid, ns.n_max, ns.budget)
+        rows = [[t, ent.entropy_estimate(q, t, ns.n_max, ns.budget)] for t in ns.t_grid]
         return {
             "kind": "entropy-profile",
             "quiver": q.text(),
-            "n_max": cfg.n_max,
+            "n_max": ns.n_max,
             "slope": prof.slope,
             "intercept": prof.intercept,
             "residual": prof.residual,
             "c_hat": prof.c_hat,
             "table": {"header": ["t", "h_t"], "rows": rows},
         }
-    t = 0.0 if cfg.t is None else cfg.t
+    t = 0.0 if ns.t is None else ns.t
     return {
         "kind": "entropy",
         "quiver": q.text(),
         "t": t,
-        "n_max": cfg.n_max,
-        "estimate": ent.entropy_estimate(q, t, cfg.n_max, cfg.budget),
+        "n_max": ns.n_max,
+        "estimate": ent.entropy_estimate(q, t, ns.n_max, ns.budget),
     }
 
 
-def _cmd_sdim(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    sd = ent.sdim_estimate(q, cfg.n_max, cfg.budget)
+def _cmd_sdim(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    sd = ent.sdim_estimate(q, ns.n_max, ns.budget)
     return {
         "kind": "serre-dimension",
         "quiver": q.text(),
-        "n_max": cfg.n_max,
+        "n_max": ns.n_max,
         "upper": sd.upper,
         "lower": sd.lower,
         "exact": sd.exact,
     }
 
 
-def _cmd_volume(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    if not cfg.lam:
+def _cmd_volume(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    if not ns.lam:
         raise ConfigError("volume needs --lam")
-    rows = [[lam, ent.volume(q, lam, cfg.n_max, cfg.budget)] for lam in cfg.lam]
+    rows = [[lam, ent.volume(q, lam, ns.n_max)] for lam in ns.lam]
     return {
         "kind": "volume",
         "quiver": q.text(),
-        "n_max": cfg.n_max,
+        "n_max": ns.n_max,
         "table": {"header": ["lam", "volume"], "rows": rows},
     }
 
 
-def _cmd_stab_gldim(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    sigma = _sigma_from_cfg(cfg, q)
+def _cmd_stab_gldim(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    sigma = _sigma_from_args(ns, q)
     return {
         "kind": "stability-gldim",
         "quiver": q.text(),
@@ -225,13 +181,13 @@ def _cmd_stab_gldim(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_stab_sample(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    sigma = st.sample_stability(q, cfg.seed)
+def _cmd_stab_sample(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    sigma = st.sample_stability(q, ns.seed)
     return {
         "kind": "stability-sample",
         "quiver": q.text(),
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "sigma": sigma.to_json(),
         "gldim": st.gldim(sigma),
         "record_count": len(sigma.records),
@@ -239,11 +195,11 @@ def _cmd_stab_sample(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_stab_gepner(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
+def _cmd_stab_gepner(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
     sigma = st.gepner_construct(q)
     dyn = classify_dynkin(q)
-    mu = cfg.mu if cfg.mu is not None else (dyn.coxeter_number - 2) / dyn.coxeter_number
+    mu = ns.mu if ns.mu is not None else (dyn.coxeter_number - 2) / dyn.coxeter_number
     report = {
         "kind": "gepner-point",
         "quiver": q.text(),
@@ -252,7 +208,7 @@ def _cmd_stab_gepner(cfg: RunConfig) -> dict:
         "gldim": st.gldim(sigma),
         "table": _records_table(sigma),
     }
-    if cfg.check:
+    if ns.check:
         rep = st.gepner_check(sigma, mu)
         report["charge_match"] = rep.charge_match
         report["slicing_match"] = rep.slicing_match
@@ -260,9 +216,9 @@ def _cmd_stab_gepner(cfg: RunConfig) -> dict:
     return report
 
 
-def _cmd_stab_fec(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    sigma = _sigma_from_cfg(cfg, q)
+def _cmd_stab_fec(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    sigma = _sigma_from_args(ns, q)
     coll = st.extract_exceptional_collection(sigma)
     cat = catalog_for(q)
     rows = []
@@ -281,16 +237,16 @@ def _cmd_stab_fec(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_stab_restrict(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    sigma = _sigma_from_cfg(cfg, q)
-    if not cfg.subset:
+def _cmd_stab_restrict(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    sigma = _sigma_from_args(ns, q)
+    if not ns.subset:
         raise ConfigError("restrict needs --subset, e.g. --subset 1,2")
-    sub = st.restrict_to_subquiver(sigma, cfg.subset)
+    sub = st.restrict_to_subquiver(sigma, ns.subset)
     return {
         "kind": "stability-restriction",
         "quiver": q.text(),
-        "subset": list(cfg.subset),
+        "subset": list(ns.subset),
         "subquiver": sub.quiver.text(),
         "sigma": sub.to_json(),
         "gldim": st.gldim(sub),
@@ -298,11 +254,11 @@ def _cmd_stab_restrict(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_stab_mass(cfg: RunConfig) -> dict:
-    q = _quiver_from_cfg(cfg)
-    sigma = _sigma_from_cfg(cfg, q)
-    grid = cfg.t_grid if cfg.t_grid is not None else (cfg.t if cfg.t is not None else 0.0,)
-    mg = st.mass_growth(sigma, grid, cfg.n_max)
+def _cmd_stab_mass(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    sigma = _sigma_from_args(ns, q)
+    grid = ns.t_grid if ns.t_grid is not None else (ns.t if ns.t is not None else 0.0,)
+    mg = st.mass_growth(sigma, grid, ns.n_max)
     g = standard_generator(q)
     rows = [
         [t, st.mass(sigma, t, g), rate]
@@ -312,48 +268,40 @@ def _cmd_stab_mass(cfg: RunConfig) -> dict:
         "kind": "mass-growth",
         "quiver": q.text(),
         "sigma": sigma.to_json(),
-        "n_max": cfg.n_max,
+        "n_max": ns.n_max,
         "phase_upper": mg.phase_upper,
         "phase_lower": mg.phase_lower,
         "table": {"header": ["t", "mass_of_generator", "growth_rate"], "rows": rows},
     }
 
 
-def _cmd_curve(cfg: RunConfig) -> dict:
-    if cfg.genus is None:
-        raise ConfigError("curve needs --genus")
-    hs = cfg.h_grid if cfg.h_grid is not None else ((cfg.big_h,) if cfg.big_h else None)
+def _cmd_curve(ns: argparse.Namespace) -> dict:
+    hs = ns.h_grid if ns.h_grid is not None else ((ns.big_h,) if ns.big_h else None)
     if not hs:
         raise ConfigError("curve needs --H or --h-grid")
-    rows = [[h, lo, up] for h, lo, up in cv.curve_inf_scan(cfg.genus, hs, cfg.beta)]
+    rows = [[h, lo, up] for h, lo, up in cv.curve_inf_scan(ns.genus, hs, ns.beta)]
     return {
         "kind": "curve-gldim-bounds",
-        "genus": cfg.genus,
-        "beta": cfg.beta,
+        "genus": ns.genus,
+        "beta": ns.beta,
         "table": {"header": ["H", "lower", "upper"], "rows": rows},
     }
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    summary = verify_suite(cfg.quivers, cfg.seed, cfg.samples)
+def _cmd_verify(ns: argparse.Namespace) -> dict:
+    if not ns.quivers:
+        raise ConfigError("verify needs at least one quiver")
+    summary = ver.run_all(quivers=ns.quivers, samples=ns.samples, seed=ns.seed)
     rows = [[r.name, "pass" if r.passed else "FAIL", r.margin, r.detail] for r in summary.results]
-    report = {
+    return {
         "kind": "verification",
-        "quivers": list(cfg.quivers),
-        "samples": cfg.samples,
-        "seed": cfg.seed,
+        "quivers": list(ns.quivers),
+        "samples": ns.samples,
+        "seed": ns.seed,
         "all_passed": summary.all_passed,
         "worst_margin": summary.worst_margin,
         "table": {"header": ["check", "status", "margin", "detail"], "rows": rows},
     }
-    return report, 0 if summary.all_passed else 3
-
-
-def verify_suite(quivers, seed: int, samples: int) -> ver.VerifySummary:
-    """Run the cross-check battery; thin wrapper over verify.run_all."""
-    if not quivers:
-        raise ConfigError("verify needs at least one quiver")
-    return ver.run_all(quivers=tuple(quivers), samples=samples, seed=seed)
 
 
 # -------------------------------------------------------------- formatting
@@ -418,38 +366,20 @@ def _fmt_md(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_report(cfg: RunConfig) -> tuple[str, int]:
-    """Execute the configured command; returns (artifact text, exit code)."""
-    dispatch = {
-        "quiver": _cmd_quiver,
-        "entropy": _cmd_entropy,
-        "sdim": _cmd_sdim,
-        "volume": _cmd_volume,
-        "stab-gldim": _cmd_stab_gldim,
-        "stab-sample": _cmd_stab_sample,
-        "stab-gepner": _cmd_stab_gepner,
-        "stab-fec": _cmd_stab_fec,
-        "stab-restrict": _cmd_stab_restrict,
-        "stab-mass": _cmd_stab_mass,
-        "curve": _cmd_curve,
-    }
-    code = 0
-    if cfg.command == "verify":
-        report, code = _cmd_verify(cfg)
-    elif cfg.command in dispatch:
-        report = dispatch[cfg.command](cfg)
-    else:
-        raise ConfigError("unknown command %r" % cfg.command)
-    report = _normalize(report)
-    if cfg.fmt == "json":
-        text = _fmt_json(report)
-    elif cfg.fmt == "csv":
-        text = _fmt_csv(report)
-    elif cfg.fmt == "md":
-        text = _fmt_md(report)
-    else:
-        raise ConfigError("unknown format %r" % cfg.fmt)
-    return text, code
+_FORMATS = {"json": _fmt_json, "csv": _fmt_csv, "md": _fmt_md}
+
+
+def run_report(ns: argparse.Namespace) -> tuple[str, int]:
+    """Execute the parsed command; returns (artifact text, exit code)."""
+    handler = getattr(ns, "handler", None)
+    if handler is None:
+        if ns.command == "stab":
+            raise ConfigError("stab needs a subcommand: gldim, sample, gepner, fec, restrict, mass")
+        raise ConfigError("no command given; try --help")
+    report = handler(ns)
+    # A failed verification battery is a domain failure, not a crash.
+    code = 3 if report.get("all_passed") is False else 0
+    return _FORMATS[ns.fmt](_normalize(report)), code
 
 
 # ----------------------------------------------------------------- parsing
@@ -506,9 +436,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sigma_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z", default=None, help="charges as re,im;re,im;...")
-    p.add_argument("--gepner", action="store_true", help="use the constructed Gepner point")
-    p.add_argument("--sample", action="store_true", help="sample a random stability condition")
+    p.add_argument("--z", type=_charges, default=None, help="charges as re,im;re,im;...")
+    p.add_argument("--gepner", dest="use_gepner", action="store_true",
+                   help="use the constructed Gepner point")
+    p.add_argument("--sample", dest="use_sample", action="store_true",
+                   help="sample a random stability condition")
     p.add_argument("--sigma", dest="sigma_path", default=None, help="JSON file with a stability condition")
 
 
@@ -518,10 +450,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("quiver", help="inspect a quiver")
+    p.set_defaults(handler=_cmd_quiver)
     p.add_argument("--quiver", required=True)
     _add_common(p)
 
     p = sub.add_parser("entropy", help="categorical entropy estimate")
+    p.set_defaults(handler=_cmd_entropy)
     p.add_argument("--quiver", required=True)
     p.add_argument("--t", type=_finite, default=None)
     p.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
@@ -531,12 +465,14 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("sdim", help="Serre dimension estimate")
+    p.set_defaults(handler=_cmd_sdim)
     p.add_argument("--quiver", required=True)
     p.add_argument("--nmax", dest="n_max", type=int, default=30)
     p.add_argument("--budget", type=int, default=ent.DEFAULT_BUDGET)
     _add_common(p)
 
     p = sub.add_parser("volume", help="volume at scale factors")
+    p.set_defaults(handler=_cmd_volume)
     p.add_argument("--quiver", required=True)
     p.add_argument("--lam", type=_floats, required=True)
     p.add_argument("--nmax", dest="n_max", type=int, default=30)
@@ -544,15 +480,16 @@ def build_parser() -> _Parser:
 
     stab = sub.add_parser("stab", help="stability condition operations")
     stab_sub = stab.add_subparsers(dest="stab_command", parser_class=_Parser)
-    for name, needs_sigma in (
-        ("gldim", True),
-        ("sample", False),
-        ("gepner", False),
-        ("fec", True),
-        ("restrict", True),
-        ("mass", True),
+    for name, handler, needs_sigma in (
+        ("gldim", _cmd_stab_gldim, True),
+        ("sample", _cmd_stab_sample, False),
+        ("gepner", _cmd_stab_gepner, False),
+        ("fec", _cmd_stab_fec, True),
+        ("restrict", _cmd_stab_restrict, True),
+        ("mass", _cmd_stab_mass, True),
     ):
         sp = stab_sub.add_parser(name)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--quiver", required=True)
         if needs_sigma:
             _add_sigma_source(sp)
@@ -560,7 +497,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--check", action="store_true")
             sp.add_argument("--mu", type=_finite, default=None)
         if name == "restrict":
-            _ = sp.add_argument("--subset", type=_ints, required=True)
+            sp.add_argument("--subset", type=_ints, required=True)
         if name == "mass":
             sp.add_argument("--t", type=_finite, default=None)
             sp.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
@@ -568,12 +505,14 @@ def build_parser() -> _Parser:
         _add_common(sp)
 
     p = sub.add_parser("gepner", help="alias for stab gepner")
+    p.set_defaults(handler=_cmd_stab_gepner)
     p.add_argument("--quiver", required=True)
     p.add_argument("--check", action="store_true")
     p.add_argument("--mu", type=_finite, default=None)
     _add_common(p)
 
     p = sub.add_parser("curve", help="curve global dimension bounds")
+    p.set_defaults(handler=_cmd_curve)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--beta", type=_finite, default=0.0)
     p.add_argument("--H", dest="big_h", type=_finite, default=None)
@@ -581,6 +520,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the cross-check battery")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--quivers", type=lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
                    default=("A2", "A3", "D4"))
     p.add_argument("--samples", type=int, default=50)
@@ -589,37 +529,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    command = ns.command
-    if command is None:
-        raise ConfigError("no command given; try --help")
-    if command == "stab":
-        stab_command = getattr(ns, "stab_command", None)
-        if stab_command is None:
-            raise ConfigError("stab needs a subcommand: gldim, sample, gepner, fec, restrict, mass")
-        command = "stab-" + stab_command
-    if command == "gepner":
-        command = "stab-gepner"
-    kwargs = {"command": command}
-    for name in (
-        "quiver", "sigma_path", "use_gepner", "use_sample", "t", "t_grid", "series",
-        "n_max", "budget", "lam", "mu", "check", "subset", "genus", "beta",
-        "big_h", "h_grid", "quivers", "samples", "seed", "fmt", "out",
-    ):
-        src = {"use_gepner": "gepner", "use_sample": "sample"}.get(name, name)
-        if hasattr(ns, src):
-            kwargs[name] = getattr(ns, src)
-    if getattr(ns, "z", None) is not None:
-        kwargs["z"] = _charges(ns.z)
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        ns = parser.parse_args(argv)
-        cfg = config_from_args(ns)
-        text, code = run_report(cfg)
+        ns = build_parser().parse_args(argv)
+        text, code = run_report(ns)
     except (ConfigError, ParseError) as exc:
         _emit_error(exc)
         return 2
@@ -627,8 +540,8 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return 3
     sys.stdout.write(text)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return code
 

@@ -22,6 +22,17 @@ from .quivers import Quiver, classify_dynkin
 DEFAULT_BUDGET = 10**9
 
 
+def _log_sum_exp(terms) -> float:
+    """log(sum(exp(v))) over the terms, shifted by their maximum so that no
+    single exp overflows; ConfigError when the sum leaves the float range."""
+    vals = list(terms)
+    top = max(vals)
+    total = top + math.log(sum(math.exp(v - top) for v in vals))
+    if not math.isfinite(total):
+        raise ConfigError("log-sum-exp leaves the float range; use a smaller |t|")
+    return total
+
+
 @dataclass(frozen=True)
 class EntropySeries:
     quiver: Quiver
@@ -32,9 +43,7 @@ class EntropySeries:
 
     def log_f(self, n: int, t: float) -> float:
         """log f_n(t) via a log-sum-exp, safe for large |m t|."""
-        terms = [math.log(d) - m * t for m, d in self.levels[n].items()]
-        top = max(terms)
-        return top + math.log(sum(math.exp(v - top) for v in terms))
+        return _log_sum_exp(math.log(d) - m * t for m, d in self.levels[n].items())
 
     def total_dim(self, n: int) -> int:
         return sum(self.levels[n].values())

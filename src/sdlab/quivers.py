@@ -88,9 +88,6 @@ class Quiver:
         arrows = ",".join("%d->%d" % a for a in self.arrows)
         return "vertices:%d; arrows:%s" % (self.n, arrows)
 
-    def fingerprint(self) -> str:
-        return self.text()
-
 
 @dataclass(frozen=True)
 class EulerData:

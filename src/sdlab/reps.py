@@ -295,7 +295,7 @@ def exists_mono(n: Representation, m: Representation) -> bool:
         return True
 
     gen = SplitMix64(
-        fold_seed("mono", q.fingerprint(), *n.dim_vector, *m.dim_vector)
+        fold_seed("mono", q.text(), *n.dim_vector, *m.dim_vector)
     )
     for _ in range(8):
         coeffs = [gen.next_int(-10**6, 10**6) for _ in range(hs.dim)]
@@ -638,9 +638,9 @@ _CATALOGS: dict[str, IndecCatalog] = {}
 
 def catalog_for(q: Quiver, cache_dir: str | None = None, cache_key: str | None = None) -> IndecCatalog:
     """Memoized catalog per quiver; optional JSON cache for named presets."""
-    fp = q.fingerprint()
-    if fp in _CATALOGS:
-        return _CATALOGS[fp]
+    text = q.text()
+    if text in _CATALOGS:
+        return _CATALOGS[text]
     cat = None
     path = None
     if cache_dir and cache_key:
@@ -651,7 +651,7 @@ def catalog_for(q: Quiver, cache_dir: str | None = None, cache_key: str | None =
         if path is not None and cat.is_complete:
             os.makedirs(cache_dir, exist_ok=True)
             save_catalog(cat, path)
-    _CATALOGS[fp] = cat
+    _CATALOGS[text] = cat
     return cat
 
 

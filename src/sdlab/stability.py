@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exactmat as xm
 from .derived import DerivedObject, serre_apply, standard_generator
-from .entropy import _sample_points, _fit_intercept
+from .entropy import _fit_intercept, _log_sum_exp, _sample_points
 from .errors import (
     ConfigError,
     DisconnectedQuiver,
@@ -174,7 +173,8 @@ def gldim(sigma: StabilityCondition) -> float:
 
 def mass(sigma: StabilityCondition, t: float, x: DerivedObject) -> float:
     """sum over summands of |Z| * exp(phase * t); every summand must be
-    semistable for the mass to be this simple sum."""
+    semistable for the mass to be this simple sum.  A term past the float
+    range makes the mass math.inf."""
     if x.quiver != sigma.quiver:
         raise QuiverMismatch("object lives on a different quiver")
     by_ident = {r.ident: r for r in sigma.records}
@@ -184,7 +184,10 @@ def mass(sigma: StabilityCondition, t: float, x: DerivedObject) -> float:
         if r is None:
             raise NotAllSemistable("summand id %d is not semistable" % ident)
         phase_obj = r.phase + (k - r.shift)
-        total += abs(r.z) * math.exp(phase_obj * t)
+        try:
+            total += abs(r.z) * math.exp(phase_obj * t)
+        except OverflowError:
+            total = math.inf
     return total
 
 
@@ -197,6 +200,8 @@ class MassGrowth:
 
 
 def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowth:
+    if n_max < 1:
+        raise ConfigError("n_max must be at least 1")
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ConfigError("mass growth needs a nonempty t grid")
@@ -222,7 +227,7 @@ def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowt
     for t in ts:
         ys = []
         for n in ns:
-            logm = _logsum(math.log(a) + p * t for a, p in level_data[n])
+            logm = _log_sum_exp(math.log(a) + p * t for a, p in level_data[n])
             ys.append(logm / n)
         rates.append(_fit_intercept(ns, ys))
     lo = max(1, n_max - n_max // 2)
@@ -234,12 +239,6 @@ def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowt
         phase_upper=phase_upper,
         phase_lower=phase_lower,
     )
-
-
-def _logsum(terms) -> float:
-    vals = list(terms)
-    top = max(vals)
-    return top + math.log(sum(math.exp(v - top) for v in vals))
 
 
 # ------------------------------------------------------------------- actions
@@ -263,9 +262,8 @@ def act(sigma: StabilityCondition, action) -> StabilityCondition:
     if isinstance(action, str):
         if action != "serre":
             raise ConfigError("unknown action %r" % action)
-        inv = xm.to_int_rows(xm.inverse(xm.from_int_rows(
-            [list(row) for row in cat.euler_data.serre_k_action]
-        )))
+        # The Serre K-action is -phi, so its inverse is -phi_inv.
+        inv = [[-x for x in row] for row in cat.phi_inv]
         n = q.n
         new_z = tuple(
             sum(sigma.z_simples[j] * inv[j][i] for j in range(n)) for i in range(n)
@@ -382,7 +380,7 @@ def gepner_construct(q: Quiver) -> StabilityCondition:
 def sample_stability(q: Quiver, seed: int) -> StabilityCondition:
     """Random charge vector: phases uniform in (0, 1], moduli log-uniform in
     [0.1, 10].  Deterministic in (quiver, seed)."""
-    gen = SplitMix64(fold_seed("sample-stability", q.fingerprint(), seed))
+    gen = SplitMix64(fold_seed("sample-stability", q.text(), seed))
     z = []
     for _ in range(q.n):
         theta = 1.0 - gen.next_float()

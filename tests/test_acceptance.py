@@ -306,7 +306,7 @@ def test_restriction_semicontinuity():
     dimension, and the exact Serre dimensions grow along A2 < A3 < A4."""
     q = parse_quiver("A4")
     base = gepner_construct(q)
-    gen = SplitMix64(fold_seed("acceptance-restriction", q.fingerprint()))
+    gen = SplitMix64(fold_seed("acceptance-restriction", q.text()))
     pool = [base]
     while len(pool) < 100:
         z = [_clockwise(zi, 0.03 * gen.next_float()) for zi in base.z_simples]

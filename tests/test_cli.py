@@ -1,15 +1,12 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
 
 from sdlab.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("SDLAB_CACHE", str(tmp_path / "cache"))
 
 
 def _run(capsys, argv):
@@ -207,6 +204,32 @@ def test_bad_sigma_file_exits_with_envelope(capsys, tmp_path, text, code, error)
     assert _error_type(err) == error
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--nmax", "0"], 2),
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--nmax", "-3"], 2),
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "1e308"], 2),
+        (["entropy", "--quiver", "A2", "--t", "1e308"], 2),
+        (["entropy", "--quiver", "A2", "--t-grid=1e308,0,1"], 2),
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "2000"], 0),
+    ],
+    ids=["mass-nmax-0", "mass-nmax-negative", "mass-huge-t", "entropy-huge-t",
+         "entropy-huge-t-grid", "mass-overflowing-exp"],
+)
+def test_short_series_and_float_overflow_end_cleanly(capsys, argv, code):
+    got, out, err = _run(capsys, argv)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert _error_type(err) == "ConfigError"
+    else:
+        assert err == ""
+        rows = json.loads(out)["table"]["rows"]
+        assert rows[0][1] == "inf"
+        assert all(math.isfinite(rate) for _, _, rate in rows)
+
+
 def test_out_writes_same_bytes(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = _run(
@@ -216,9 +239,7 @@ def test_out_writes_same_bytes(capsys, tmp_path):
     assert out_path.read_text() == out
 
 
-def _subprocess_env(cache_dir):
-    import os
-
+def _subprocess_env():
     import sdlab
 
     # A relative PYTHONPATH (``src`` from the checkout) does not resolve from
@@ -228,12 +249,11 @@ def _subprocess_env(cache_dir):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
-    env["SDLAB_CACHE"] = cache_dir
     return env
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
-    env = _subprocess_env(str(tmp_path / "cache"))
+    env = _subprocess_env()
     cmd = [
         sys.executable, "-m", "sdlab.cli",
         "stab", "sample", "--quiver", "D4", "--seed", "42",
@@ -247,13 +267,10 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert runs[0].stdout
 
 
-def test_catalog_cache_roundtrip(tmp_path):
-    env = _subprocess_env(str(tmp_path / "cache"))
+def test_cli_leaves_working_directory_empty(tmp_path):
+    env = _subprocess_env()
+    env.pop("SDLAB_CACHE", None)
     cmd = [sys.executable, "-m", "sdlab.cli", "sdim", "--quiver", "E6"]
-    first = subprocess.run(cmd, capture_output=True, env=env, cwd=str(tmp_path))
-    assert first.returncode == 0
-    cache_files = list((tmp_path / "cache").glob("catalog-E6-v*.json"))
-    assert len(cache_files) == 1
-    second = subprocess.run(cmd, capture_output=True, env=env, cwd=str(tmp_path))
-    assert second.returncode == 0
-    assert second.stdout == first.stdout
+    run = subprocess.run(cmd, capture_output=True, env=env, cwd=str(tmp_path))
+    assert run.returncode == 0 and run.stdout
+    assert list(tmp_path.iterdir()) == []
