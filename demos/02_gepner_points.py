@@ -15,7 +15,7 @@ from sdlab import (
     parse_quiver,
 )
 
-for name in ("A2", "A3", "A5", "D4", "E6"):
+for name in ("A2", "A3", "A5", "D4", "E6", "E7", "E8"):
     q = parse_quiver(name)
     h = classify_dynkin(q).coxeter_number
     mu = 1.0 - 2.0 / h

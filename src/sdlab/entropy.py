@@ -164,10 +164,15 @@ def entropy_profile(
         raise EmptyGrid("entropy profile needs a nonempty t grid")
     if len(ts) < 3:
         raise ConfigError("entropy profile needs at least 3 grid points")
-    hs = [entropy_estimate(q, t, n_max, budget) for t in ts]
-    slope, intercept = np.polyfit(np.array(ts), np.array(hs), 1)
-    fitted = slope * np.array(ts) + intercept
-    residual = float(np.max(np.abs(fitted - np.array(hs))))
+    hs = np.array([entropy_estimate(q, t, n_max, budget) for t in ts])
+    # polyfit squares the t column, which overflows past |t| ~ 1e154; fit on
+    # t / 2**e instead.  Scaling by a power of two is exact, so grids that
+    # fit without it give the same bits.
+    e = math.frexp(max(abs(t) for t in ts))[1]
+    xs = np.array([math.ldexp(t, -e) for t in ts])
+    scaled_slope, intercept = np.polyfit(xs, hs, 1)
+    slope = math.ldexp(float(scaled_slope), -e)
+    residual = float(np.max(np.abs(scaled_slope * xs + intercept - hs)))
     return EntropyProfile(
         slope=float(slope),
         intercept=float(intercept),

@@ -110,8 +110,11 @@ def make_stability(q: Quiver, z_simples) -> StabilityCondition:
 
     Every charge must be finite and lie in the upper half plane extended by
     the negative real axis.  Semistability of an indecomposable M is decided
-    against all indecomposable subobjects: no submodule may carry a larger
-    phase.
+    against its indecomposable subobjects: no submodule may carry a larger
+    phase.  Phases are compared first, so the dimension-vector check and the
+    monomorphism search run only for a candidate of strictly larger phase;
+    at the Gepner points of the Dynkin presets no such candidate has a
+    nonzero Hom, so the search never runs there.
     """
     z_simples = tuple(complex(z) for z in z_simples)
     if len(z_simples) != q.n:
@@ -138,12 +141,13 @@ def make_stability(q: Quiver, z_simples) -> StabilityCondition:
         for f in cat.entries:
             if f.ident == e.ident:
                 continue
-            if all(df <= de for df, de in zip(f.dim_vector, e.dim_vector)) and cat.mono(
-                f.ident, e.ident
+            if (
+                phases[f.ident] > p + PHASE_TOL
+                and all(df <= de for df, de in zip(f.dim_vector, e.dim_vector))
+                and cat.mono(f.ident, e.ident)
             ):
-                if phases[f.ident] > p + PHASE_TOL:
-                    stable = False
-                    break
+                stable = False
+                break
         if stable:
             triples.append((e.ident, 0, p))
     return _assemble(q, cat, z_simples, triples)

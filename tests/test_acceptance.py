@@ -135,7 +135,8 @@ def test_gepner_point_values():
     """The constructed fractional Calabi-Yau points have global dimension
     exactly 1 - 2/h and certify their defining functor equation."""
     worst = 0.0
-    for name in ("A2", "A3", "D4"):
+    names = ("A2", "A3", "D4", "E6", "E7", "E8")
+    for name in names:
         q = parse_quiver(name)
         h = classify_dynkin(q).coxeter_number
         mu = 1.0 - 2.0 / h
@@ -144,7 +145,7 @@ def test_gepner_point_values():
         assert err <= TOL, "%s gldim off by %g" % (name, err)
         assert gepner_check(sigma, mu).verdict, "%s functor equation fails" % name
         worst = max(worst, err)
-    _report("gepner-point-values", "A2 A3 D4, worst gldim error %.1e" % worst)
+    _report("gepner-point-values", "%s, worst gldim error %.1e" % (" ".join(names), worst))
 
 
 # 4 ------------------------------------------------------------------------

@@ -230,6 +230,18 @@ def test_short_series_and_float_overflow_end_cleanly(capsys, argv, code):
         assert all(math.isfinite(rate) for _, _, rate in rows)
 
 
+def test_entropy_profile_fits_huge_grid_points(tmp_path):
+    # numpy's fit squares the t column; 1e300 must not overflow it into a
+    # zero slope with warnings on stderr
+    cmd = [sys.executable, "-m", "sdlab.cli",
+           "entropy", "--quiver", "A2", "--t-grid=1e300,0,1"]
+    run = subprocess.run(cmd, capture_output=True, text=True,
+                         env=_subprocess_env(), cwd=str(tmp_path))
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert abs(json.loads(run.stdout)["slope"] - 1.0 / 3.0) <= 1e-12
+
+
 def test_out_writes_same_bytes(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = _run(

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import sdlab.reps
 from sdlab import (
     CatalogIncomplete,
     ConfigError,
@@ -28,6 +29,9 @@ from sdlab import (
     sigma_from_json,
 )
 from sdlab.derived import standard_generator
+from sdlab.quivers import classify_dynkin
+from sdlab.reps import catalog_for, exists_mono
+from sdlab.stability import PHASE_TOL
 
 A2 = parse_quiver("A2")
 A3 = parse_quiver("A3")
@@ -72,6 +76,86 @@ def test_gepner_constructions_across_families():
         assert abs(gldim(sigma) - mu) < 1e-9
         report = gepner_check(sigma, mu)
         assert report.charge_match and report.slicing_match and report.verdict
+
+
+@pytest.mark.parametrize("name", ["A5", "A8", "D6", "D8", "E6", "E7", "E8"])
+def test_gepner_points_need_no_monomorphism_search(monkeypatch, name):
+    def no_search(n, m):
+        raise AssertionError("exists_mono called at a Gepner point")
+
+    # a fresh catalog memo, so no monomorphism answer is left from other tests
+    monkeypatch.setattr(sdlab.reps, "_CATALOGS", {})
+    monkeypatch.setattr(sdlab.reps, "exists_mono", no_search)
+    q = parse_quiver(name)
+    h = classify_dynkin(q).coxeter_number
+    mu = (h - 2.0) / h
+    sigma = gepner_construct(q)
+    assert abs(gldim(sigma) - mu) < 1e-9
+    assert gepner_check(sigma, mu).verdict
+
+
+def _phases(q, z_simples):
+    cat = catalog_for(q)
+    out = {}
+    for e in cat.entries:
+        z = sum(c * d for c, d in zip(z_simples, e.dim_vector))
+        out[e.ident] = math.atan2(z.imag, z.real) / math.pi
+    return out
+
+
+def _semistable_by_subobjects(q, z_simples, mono):
+    """No indecomposable submodule of strictly larger phase (exact search)."""
+    cat = catalog_for(q)
+    ph = _phases(q, z_simples)
+    keep = set()
+    for e in cat.entries:
+        if not any(
+            f.ident != e.ident
+            and ph[f.ident] > ph[e.ident] + PHASE_TOL
+            and all(a <= b for a, b in zip(f.dim_vector, e.dim_vector))
+            and mono(f.ident, e.ident)
+            for f in cat.entries
+        ):
+            keep.add(e.ident)
+    return keep
+
+
+def _semistable_by_hom_criterion(q, z_simples):
+    """Scan by decreasing phase: M is semistable iff no semistable N of
+    strictly larger phase has Hom(N, M) != 0."""
+    cat = catalog_for(q)
+    ph = _phases(q, z_simples)
+    keep = set()
+    for m in sorted(ph, key=lambda i: -ph[i]):
+        if not any(ph[n] > ph[m] + PHASE_TOL and cat.hom_dim(n, m) > 0 for n in keep):
+            keep.add(m)
+    return keep
+
+
+@pytest.mark.parametrize(
+    "text", ["A4", "D5", "E6", "vertices:6; arrows:1->2,2->3,3->4,4->5,6->3"],
+    ids=["A4", "D5", "E6", "E6-nonbipartite"],
+)
+def test_semistable_sets_match_oracles(text):
+    q = parse_quiver(text)
+    cat = catalog_for(q)
+    memo = {}
+
+    def mono(a, b):
+        if (a, b) not in memo:
+            memo[a, b] = exists_mono(cat.entries[a].rep, cat.entries[b].rep)
+        return memo[a, b]
+
+    sigmas = [sample_stability(q, seed) for seed in range(20)]
+    sigmas.append(make_stability(q, (1j,) * q.n))
+    try:
+        sigmas.append(gepner_construct(q))
+    except HeartMismatch:
+        pass
+    for sigma in sigmas:
+        got = {r.ident for r in sigma.records}
+        assert got == _semistable_by_subobjects(q, sigma.z_simples, mono)
+        assert got == _semistable_by_hom_criterion(q, sigma.z_simples)
 
 
 def test_gepner_check_rejects_wrong_rotation():
