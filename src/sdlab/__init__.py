@@ -2,13 +2,16 @@
 acyclic quivers and smooth projective curves.
 
 The package computes with the bounded derived category of an acyclic
-quiver through its finite hom/ext calculus: an exact catalog of
-indecomposables drives entropy and Serre dimension estimates, Gepner-point
-constructions, global dimension of stability conditions, mass growth, and
-full exceptional collection extraction.  A separate numeric module covers
+quiver through its finite hom/ext calculus: a catalog of indecomposables
+built from integer Coxeter data drives entropy and Serre dimension
+estimates, Gepner-point constructions, global dimension of stability
+conditions, mass growth, and full exceptional collection extraction.  The
+exact representations in `sdlab.reps` are an oracle for the tests and the
+catalog's monomorphism test.  A separate numeric module covers
 slope stability on smooth projective curves.
 """
 
+from .catalog import IndecCatalog, catalog_for, load_catalog, save_catalog
 from .curves import (
     CurveStability,
     NumericalClass,
@@ -76,23 +79,6 @@ from .quivers import (
     symmetrized_form,
     tits_form,
 )
-from .reps import (
-    IndecCatalog,
-    Representation,
-    ar_translate,
-    catalog_for,
-    exists_mono,
-    ext1_dim,
-    hom_dim,
-    hom_space,
-    indecomposable_from_root,
-    injective_rep,
-    load_catalog,
-    projective_rep,
-    save_catalog,
-    simple_rep,
-    zero_rep,
-)
 from .stability import (
     GepnerReport,
     MassGrowth,
@@ -126,10 +112,7 @@ __all__ = [
     "Quiver", "EulerData", "DynkinClass", "parse_quiver", "euler_matrix",
     "euler_form", "symmetrized_form", "tits_form", "coxeter_matrix",
     "coxeter_order", "classify_dynkin", "positive_roots",
-    "Representation", "IndecCatalog", "zero_rep", "simple_rep",
-    "projective_rep", "injective_rep", "hom_space", "hom_dim", "ext1_dim",
-    "ar_translate", "exists_mono", "catalog_for", "save_catalog",
-    "load_catalog", "indecomposable_from_root",
+    "IndecCatalog", "catalog_for", "save_catalog", "load_catalog",
     "DerivedObject", "standard_generator", "serre_apply", "hom_poincare",
     "DEFAULT_BUDGET", "EntropySeries", "EntropyProfile", "SerreDims",
     "entropy_series", "entropy_estimate", "sdim_estimate", "volume",

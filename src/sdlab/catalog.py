@@ -1,0 +1,306 @@
+"""The indecomposable catalog, built from integer Coxeter data.
+
+On a Dynkin quiver an indecomposable is fixed by its dimension vector
+(Gabriel 1972) and tau acts on dimension vectors as the Coxeter matrix Phi
+(Bernstein-Gelfand-Ponomarev 1973).  So entries hold dimension vectors only:
+the projectives and injectives are the rows and columns of the path-count
+matrix P = E^{-1}, each tau-inverse orbit is walked by Phi^{-1}, and the
+hom/ext tables are read off the Euler form.  Only `IndecCatalog.mono` calls
+into the exact representations of `reps`.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from dataclasses import dataclass
+
+from .errors import CatalogIncomplete, CatalogMiss
+from .quivers import (
+    Quiver,
+    classify_dynkin,
+    coxeter_matrix,
+    euler_form,
+    int_mat_mul,
+    int_mat_vec,
+    path_counts,
+    positive_roots,
+)
+
+CATALOG_FORMAT_VERSION = 2
+
+
+@dataclass
+class CatalogEntry:
+    ident: int
+    dim_vector: tuple[int, ...]
+    proj_vertex: int | None
+    inj_vertex: int | None
+
+    @property
+    def is_projective(self) -> bool:
+        return self.proj_vertex is not None
+
+    @property
+    def is_injective(self) -> bool:
+        return self.inj_vertex is not None
+
+
+class IndecCatalog:
+    """Indecomposables of D^b(Q) reachable from the projective generator.
+
+    Dynkin quivers get the full finite catalog (the tau-inverse orbits of
+    the projectives, in bijection with the positive roots).  Other acyclic
+    quivers get the projectives and injectives plus lazily-created virtual
+    entries for the rest of the preprojective and preinjective components;
+    operations that need the complete list, or Hom out of a virtual entry,
+    raise CatalogIncomplete there.
+
+    `records` are a saved catalog's (dim, proj_vertex, inj_vertex) triples
+    in id order; by default the orbits are walked.  Both go through `_link`.
+    """
+
+    def __init__(self, quiver: Quiver, records=None):
+        self.quiver = quiver
+        self.dynkin = classify_dynkin(quiver) if quiver.is_connected() else None
+        ed = coxeter_matrix(quiver)
+        self.euler_data = ed
+        self.phi = [list(r) for r in ed.coxeter]
+        paths = path_counts(quiver)
+        proj = [tuple(r) for r in paths]
+        inj = [tuple(c) for c in zip(*paths)]
+        # Phi^{-1} = -P^T E, and the rows of P^T are the injective dims
+        self.phi_inv = [[-x for x in r] for r in int_mat_mul(inj, ed.euler)]
+        self.entries: list[CatalogEntry] = []
+        self.by_dim: dict[tuple[int, ...], int] = {}
+        self.proj_ids: list[int] = []
+        self.inj_ids: list[int] = []
+        self._tau: dict[int, int | None] = {}
+        self._tau_inv: dict[int, int | None] = {}
+        self._hom: dict[tuple[int, int], int] = {}
+        self._ext: dict[tuple[int, int], int] = {}
+        self._mono: dict[tuple[int, int], bool] = {}
+        for dim, proj_vertex, inj_vertex in records or self._walk(proj, inj):
+            self._add(dim, proj_vertex, inj_vertex)
+        self._link()
+
+    # -- construction
+
+    def _add(self, dim, proj_vertex=None, inj_vertex=None) -> int:
+        dim = tuple(dim)
+        if dim in self.by_dim:
+            ident = self.by_dim[dim]
+            e = self.entries[ident]
+            if proj_vertex is not None:
+                e.proj_vertex = proj_vertex
+            if inj_vertex is not None:
+                e.inj_vertex = inj_vertex
+            return ident
+        ident = len(self.entries)
+        self.entries.append(CatalogEntry(ident, dim, proj_vertex, inj_vertex))
+        self.by_dim[dim] = ident
+        return ident
+
+    def _walk(self, proj, inj):
+        """(dim, proj_vertex, inj_vertex) in id order: the projectives, then
+        on a Dynkin quiver each projective's tau-inverse orbit in turn."""
+        if self.dynkin is None:
+            yield from ((d, i, None) for i, d in enumerate(proj, start=1))
+            yield from ((d, None, j) for j, d in enumerate(inj, start=1))
+            return
+        inj_vertex = {d: j for j, d in enumerate(inj, start=1)}
+        for i, d in enumerate(proj, start=1):
+            yield d, i, inj_vertex.get(d)
+        for d in proj:
+            while d not in inj_vertex:
+                d = int_mat_vec(self.phi_inv, d)
+                yield d, None, inj_vertex.get(d)
+
+    def _link(self) -> None:
+        """proj/inj ids from the flags; on a Dynkin quiver, tau links from
+        Phi on dimension vectors and the root-count check."""
+        proj = {e.proj_vertex: e.ident for e in self.entries if e.is_projective}
+        inj = {e.inj_vertex: e.ident for e in self.entries if e.is_injective}
+        vertices = range(1, self.quiver.n + 1)
+        self.proj_ids = [proj[i] for i in vertices]
+        self.inj_ids = [inj[i] for i in vertices]
+        if self.dynkin is None:
+            return
+        for e in self.entries:
+            if e.is_projective:
+                self._tau[e.ident] = None
+            else:
+                prev = self.by_dim[int_mat_vec(self.phi, e.dim_vector)]
+                self._tau[e.ident] = prev
+                self._tau_inv[prev] = e.ident
+            if e.is_injective:
+                self._tau_inv[e.ident] = None
+        roots = positive_roots(self.quiver)
+        if len(self.entries) != len(roots):
+            raise AssertionError(
+                "catalog size %d does not match root count %d"
+                % (len(self.entries), len(roots))
+            )
+
+    @property
+    def is_complete(self) -> bool:
+        return self.dynkin is not None
+
+    def size(self) -> int:
+        return len(self.entries)
+
+    def entry(self, ident: int) -> CatalogEntry:
+        return self.entries[ident]
+
+    # -- Serre steps on catalog ids
+
+    def _virtual_step(self, dim, phi) -> int:
+        # projectives and injectives are pre-registered, so _add merges any
+        # dimension collision back onto the flagged entry
+        new_dim = int_mat_vec(phi, dim)
+        if any(x < 0 for x in new_dim) or all(x == 0 for x in new_dim):
+            raise CatalogMiss("left the cataloged components at %s" % (dim,))
+        return self._add(new_dim)
+
+    def serre_step(self, ident: int) -> tuple[int, int]:
+        """S(M[k]) = M'[k + delta]: returns (image id, delta)."""
+        e = self.entries[ident]
+        if e.proj_vertex is not None:
+            return self.inj_ids[e.proj_vertex - 1], 0
+        if ident in self._tau:
+            tau_id = self._tau[ident]
+            if tau_id is not None:
+                return tau_id, 1
+        if self.dynkin is not None:
+            raise CatalogMiss("no tau link for id %d" % ident)
+        return self._virtual_step(e.dim_vector, self.phi), 1
+
+    def serre_inv_step(self, ident: int) -> tuple[int, int]:
+        e = self.entries[ident]
+        if e.inj_vertex is not None:
+            return self.proj_ids[e.inj_vertex - 1], 0
+        if ident in self._tau_inv:
+            ti = self._tau_inv[ident]
+            if ti is not None:
+                return ti, -1
+        if self.dynkin is not None:
+            raise CatalogMiss("no tau-inverse link for id %d" % ident)
+        return self._virtual_step(e.dim_vector, self.phi_inv), -1
+
+    # -- pairwise tables (lazy, memoized)
+
+    def _require_module(self, ident: int) -> None:
+        e = self.entries[ident]
+        if not (self.is_complete or e.is_projective or e.is_injective):
+            raise CatalogIncomplete(
+                "entry %d is virtual (dimension-only); full homological data "
+                "needs a Dynkin quiver" % ident
+            )
+
+    def hom_dim(self, a: int, b: int) -> int:
+        key = (a, b)
+        if key not in self._hom:
+            src = self.entries[a]
+            if src.proj_vertex is not None:
+                # dim Hom(P_i, N) = dim N at vertex i; valid for virtual N too
+                self._hom[key] = self.entries[b].dim_vector[src.proj_vertex - 1]
+            else:
+                self._require_module(a)
+                self._require_module(b)
+                # every cataloged entry lies in a directed component, where
+                # Hom and Ext^1 are never both nonzero: hom = max(chi, 0)
+                chi = euler_form(self.quiver, src.dim_vector, self.entries[b].dim_vector)
+                self._hom[key] = max(chi, 0)
+        return self._hom[key]
+
+    def ext_dim(self, a: int, b: int) -> int:
+        key = (a, b)
+        if key not in self._ext:
+            if self.entries[a].proj_vertex is not None:
+                self._ext[key] = 0
+            else:
+                val = self.hom_dim(a, b) - euler_form(
+                    self.quiver, self.entries[a].dim_vector, self.entries[b].dim_vector
+                )
+                if val < 0:
+                    raise AssertionError("negative Ext dimension in catalog")
+                self._ext[key] = val
+        return self._ext[key]
+
+    def mono(self, a: int, b: int) -> bool:
+        """Does a monomorphism entry_a -> entry_b exist?  Without a nonzero
+        map there is none, so the exact search runs only when Hom is nonzero.
+        That search is the runtime's one call into the exact oracle `reps`."""
+        key = (a, b)
+        if key not in self._mono:
+            found = False
+            if self.hom_dim(a, b) > 0:  # raises for a virtual source
+                from . import reps  # exists_mono is looked up when it runs
+
+                self._require_module(b)
+                knitted = reps.catalog_reps(self)
+                found = reps.exists_mono(knitted[a], knitted[b])
+            self._mono[key] = found
+        return self._mono[key]
+
+    def require_complete(self) -> None:
+        if not self.is_complete:
+            raise CatalogIncomplete(
+                "operation needs the full indecomposable list; quiver is not Dynkin"
+            )
+
+
+# ------------------------------------------------------- catalog persistence
+
+
+def save_catalog(cat: IndecCatalog, path: str) -> None:
+    """Persist a complete (Dynkin) catalog: each entry's dimension vector and
+    flags, in id order; the tau links are relinked on load."""
+    cat.require_complete()
+    payload = {
+        "format_version": CATALOG_FORMAT_VERSION,
+        "quiver": cat.quiver.text(),
+        "entries": [[list(e.dim_vector), e.proj_vertex, e.inj_vertex] for e in cat.entries],
+    }
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def load_catalog(path: str, expect_quiver: Quiver) -> IndecCatalog | None:
+    """Rebuild a catalog from disk; None when stale or mismatched."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload["format_version"] != CATALOG_FORMAT_VERSION:
+            return None
+        if payload["quiver"] != expect_quiver.text():
+            return None
+        recs = payload["entries"]
+        cat = IndecCatalog(expect_quiver, recs)
+    except (OSError, LookupError, TypeError, ValueError, AssertionError):
+        return None
+    return cat if cat.is_complete and cat.size() == len(recs) else None
+
+
+_CATALOGS: dict[str, IndecCatalog] = {}
+
+
+def catalog_for(q: Quiver, cache_dir: str | None = None, cache_key: str | None = None) -> IndecCatalog:
+    """Memoized catalog per quiver; optional JSON cache for named presets."""
+    text = q.text()
+    if text in _CATALOGS:
+        return _CATALOGS[text]
+    cat = None
+    path = None
+    if cache_dir and cache_key:
+        path = os.path.join(cache_dir, "catalog-%s-v%d.json" % (cache_key, CATALOG_FORMAT_VERSION))
+        cat = load_catalog(path, q)
+    if cat is None:
+        cat = IndecCatalog(q)
+        if path is not None and cat.is_complete:
+            os.makedirs(cache_dir, exist_ok=True)
+            save_catalog(cat, path)
+    _CATALOGS[text] = cat
+    return cat

@@ -23,6 +23,7 @@ from . import curves as cv
 from . import entropy as ent
 from . import stability as st
 from . import verify as ver
+from .catalog import catalog_for
 from .derived import standard_generator
 from .errors import ConfigError, ParseError, SdlabError
 from .quivers import (
@@ -32,7 +33,6 @@ from .quivers import (
     parse_quiver,
     positive_roots,
 )
-from .reps import catalog_for
 
 
 def _sigma_from_args(ns: argparse.Namespace, q: Quiver) -> st.StabilityCondition:
@@ -276,7 +276,7 @@ def _cmd_stab_mass(ns: argparse.Namespace) -> dict:
 
 
 def _cmd_curve(ns: argparse.Namespace) -> dict:
-    hs = ns.h_grid if ns.h_grid is not None else ((ns.big_h,) if ns.big_h else None)
+    hs = ns.h_grid if ns.h_grid is not None else ((ns.big_h,) if ns.big_h is not None else None)
     if not hs:
         raise ConfigError("curve needs --H or --h-grid")
     rows = [[h, lo, up] for h, lo, up in cv.curve_inf_scan(ns.genus, hs, ns.beta)]
@@ -533,6 +533,13 @@ def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
         text, code = run_report(ns)
+        if ns.out:
+            # written before stdout, so a bad path leaves stdout empty
+            try:
+                with open(ns.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError("cannot write --out file: %s" % exc) from exc
     except (ConfigError, ParseError) as exc:
         _emit_error(exc)
         return 2
@@ -540,9 +547,6 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return 3
     sys.stdout.write(text)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .catalog import IndecCatalog, catalog_for
 from .errors import QuiverMismatch, ZeroObject
 from .quivers import Quiver
-from .reps import IndecCatalog, catalog_for
 
 
 @dataclass(frozen=True)

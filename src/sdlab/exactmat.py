@@ -1,7 +1,8 @@
 """Small exact-rational matrix kernel.
 
-Everything in the representation layer runs over Fraction entries so that
-hom spaces, reflection functors and kernels are computed without rounding.
+The exact representation oracle (`reps.py`) runs over Fraction entries so
+that hom spaces, reflection functors and kernels are computed without
+rounding.
 Matrices are immutable: a shape pair plus a tuple of row tuples.  Zero-row
 and zero-column shapes are first-class citizens; reflection functors produce
 them constantly (vertices with dimension 0).
@@ -212,12 +213,3 @@ def to_int_rows(a: Mat) -> list[list[int]]:
         out.append(row)
     return out
 
-
-def int_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    """Integer matrix times integer vector, with Python bignums."""
-    return tuple(sum(int(x) * int(y) for x, y in zip(row, v)) for row in a)
-
-
-def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(int(x) * int(y) for x, y in zip(row, col)) for col in bt] for row in a]

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
-from . import exactmat as xm
 from .errors import (
     CyclicQuiver,
     DimensionMismatch,
@@ -198,19 +197,39 @@ def tits_form(q: Quiver, d) -> int:
     return euler_form(q, d, d)
 
 
+def int_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    """Integer matrix times integer vector, with Python bignums."""
+    return tuple(sum(int(x) * int(y) for x, y in zip(row, v)) for row in a)
+
+
+def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def path_counts(q: Quiver) -> list[list[int]]:
+    """P[i][j] = number of directed paths i -> j, the trivial one included:
+    P = sum_k A^k = E^{-1} for the arrow counts A.  Row i is dim P_i and
+    column j is dim I_j."""
+    p = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
+    for v in reversed(q.topological_order()):
+        for s, t in q.arrows:
+            if s == v:
+                p[v - 1] = [x + y for x, y in zip(p[v - 1], p[t - 1])]
+    return p
+
+
 def coxeter_matrix(q: Quiver) -> EulerData:
     """Coxeter matrix as the K-class action of the AR translate.
 
-    Convention Phi = -E^{-1} E^T, the one under which dim(tau M) = Phi dim M
-    holds for explicit representations (cross-checked in the test suite
-    against reflection-functor translates).
+    Convention Phi = -E^{-1} E^T = -P E^T, the one under which
+    dim(tau M) = Phi dim M holds for explicit representations (cross-checked
+    in the test suite against reflection-functor translates).
     """
-    e = xm.from_int_rows(euler_matrix(q))
-    phi = (-(xm.inverse(e) @ e.transpose()))
-    phi_rows = xm.to_int_rows(phi)
-    cox = tuple(tuple(r) for r in phi_rows)
-    serre = tuple(tuple(-x for x in r) for r in phi_rows)
     eul = tuple(tuple(r) for r in euler_matrix(q))
+    phi_rows = int_mat_mul(path_counts(q), list(zip(*eul)))
+    cox = tuple(tuple(-x for x in r) for r in phi_rows)
+    serre = tuple(tuple(r) for r in phi_rows)
     return EulerData(euler=eul, coxeter=cox, serre_k_action=serre)
 
 
@@ -221,7 +240,7 @@ def coxeter_order(q: Quiver, cap: int = 64) -> int | None:
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     power = ident
     for m in range(1, cap + 1):
-        power = xm.int_mat_mul(power, phi)
+        power = int_mat_mul(power, phi)
         if power == ident:
             return m
     return None

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import IndecCatalog, catalog_for
 from .derived import DerivedObject, serre_apply, standard_generator
 from .entropy import _fit_intercept, _log_sum_exp, _sample_points
 from .errors import (
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .prng import SplitMix64, fold_seed
 from .quivers import Quiver, classify_dynkin, parse_quiver
-from .reps import IndecCatalog, catalog_for
 
 PHASE_TOL = 1e-9
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from . import exactmat as xm
+from .catalog import catalog_for
 from .curves import CurveStability, curve_gldim, curve_gldim_bounds, shift_gap_grid
 from .derived import DerivedObject, hom_poincare, serre_apply, standard_generator
 from .entropy import entropy_estimate, sdim_estimate, volume
 from .prng import SplitMix64, fold_seed
-from .quivers import classify_dynkin, coxeter_matrix, euler_form, parse_quiver
-from .reps import catalog_for
+from .quivers import classify_dynkin, coxeter_matrix, euler_form, int_mat_vec, parse_quiver
 from .stability import (
     act,
     extract_exceptional_collection,
@@ -89,7 +89,7 @@ def check_coxeter_tau_action(quivers) -> CheckResult:
                 continue
             total += 1
             tau_id = cat._tau[e.ident]
-            expected = tuple(xm.int_mat_vec(phi, e.dim_vector))
+            expected = int_mat_vec(phi, e.dim_vector)
             if expected != cat.entries[tau_id].dim_vector:
                 bad += 1
     return _result(
@@ -304,15 +304,9 @@ def check_exceptional_collections(quivers) -> CheckResult:
 
 
 def _int_det(rows) -> int:
-    m = xm.from_int_rows(rows)
-    r, pivots = xm.rref(m)
-    if len(pivots) < m.rows:
-        return 0
-    # determinant via exact elimination on the Fraction matrix
-    from fractions import Fraction
-
-    a = [list(row) for row in m.data]
-    n = m.rows
+    """Determinant by exact elimination over Fractions; 0 when singular."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
     det = Fraction(1)
     for c in range(n):
         piv = None

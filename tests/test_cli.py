@@ -251,6 +251,20 @@ def test_out_writes_same_bytes(capsys, tmp_path):
     assert out_path.read_text() == out
 
 
+def test_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
+    out_path = tmp_path / "missing-dir" / "report.json"
+    code, out, err = _run(capsys, ["quiver", "--quiver", "A2", "--out", str(out_path)])
+    assert code == 2 and out == ""
+    assert _error_type(err) == "ConfigError"
+    assert not out_path.exists()
+
+
+def test_curve_zero_h_is_not_a_missing_h(capsys):
+    code, out, err = _run(capsys, ["curve", "--genus", "2", "--H", "0"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == "H must be positive"
+
+
 def _subprocess_env():
     import sdlab
 
@@ -286,3 +300,21 @@ def test_cli_leaves_working_directory_empty(tmp_path):
     run = subprocess.run(cmd, capture_output=True, env=env, cwd=str(tmp_path))
     assert run.returncode == 0 and run.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_runtime_never_imports_the_exact_oracle(tmp_path):
+    # IndecCatalog.mono is the only runtime path into sdlab.reps, and no
+    # monomorphism search runs at a Gepner point
+    script = (
+        "import sys\n"
+        "import sdlab.cli\n"
+        "oracle = ('sdlab.reps', 'sdlab.exactmat')\n"
+        "assert not [m for m in oracle if m in sys.modules], 'import'\n"
+        "code = sdlab.cli.main(['stab', 'gepner', '--quiver', 'E8', '--check'])\n"
+        "assert not [m for m in oracle if m in sys.modules], 'gepner'\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_subprocess_env(), cwd=str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["verdict"] is True

@@ -18,8 +18,8 @@ from sdlab import (
     symmetrized_form,
     tits_form,
 )
-from sdlab.exactmat import int_mat_mul
 from sdlab.prng import SplitMix64
+from sdlab.quivers import int_mat_mul
 
 
 def test_preset_shapes():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import sdlab.catalog
 import sdlab.reps
 from sdlab import (
     CatalogIncomplete,
@@ -28,9 +29,10 @@ from sdlab import (
     semistable_indecomposables,
     sigma_from_json,
 )
+from sdlab.catalog import catalog_for
 from sdlab.derived import standard_generator
 from sdlab.quivers import classify_dynkin
-from sdlab.reps import catalog_for, exists_mono
+from sdlab.reps import catalog_reps, exists_mono
 from sdlab.stability import PHASE_TOL
 
 A2 = parse_quiver("A2")
@@ -84,7 +86,7 @@ def test_gepner_points_need_no_monomorphism_search(monkeypatch, name):
         raise AssertionError("exists_mono called at a Gepner point")
 
     # a fresh catalog memo, so no monomorphism answer is left from other tests
-    monkeypatch.setattr(sdlab.reps, "_CATALOGS", {})
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
     monkeypatch.setattr(sdlab.reps, "exists_mono", no_search)
     q = parse_quiver(name)
     h = classify_dynkin(q).coxeter_number
@@ -139,11 +141,12 @@ def _semistable_by_hom_criterion(q, z_simples):
 def test_semistable_sets_match_oracles(text):
     q = parse_quiver(text)
     cat = catalog_for(q)
+    reps = catalog_reps(cat)
     memo = {}
 
     def mono(a, b):
         if (a, b) not in memo:
-            memo[a, b] = exists_mono(cat.entries[a].rep, cat.entries[b].rep)
+            memo[a, b] = exists_mono(reps[a], reps[b])
         return memo[a, b]
 
     sigmas = [sample_stability(q, seed) for seed in range(20)]
