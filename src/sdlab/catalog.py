@@ -1,12 +1,13 @@
 """The indecomposable catalog, built from integer Coxeter data.
 
 On a Dynkin quiver an indecomposable is fixed by its dimension vector
-(Gabriel 1972) and tau acts on dimension vectors as the Coxeter matrix Phi
-(Bernstein-Gelfand-Ponomarev 1973).  So entries hold dimension vectors only:
-the projectives and injectives are the rows and columns of the path-count
-matrix P = E^{-1}, each tau-inverse orbit is walked by Phi^{-1}, and the
-hom/ext tables are read off the Euler form.  Only `IndecCatalog.mono` calls
-into the exact representations of `reps`.
+(Gabriel 1972), and the Serre functor moves K-classes by A = -Phi for the
+Coxeter matrix Phi: S P_i = I_i and S M = tau M[1] otherwise (Happel 1988).
+So entries hold dimension vectors only.  The projectives and injectives are
+the rows and columns of the path-count matrix P = E^{-1}, and each Serre
+step is read off the sign of the integer vector A^{+-1} dim M.  The hom/ext
+tables come from the Euler form.  Only `IndecCatalog.mono` calls into the
+exact representations of `reps`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class IndecCatalog:
     quivers get the projectives and injectives plus lazily-created virtual
     entries for the rest of the preprojective and preinjective components;
     operations that need the complete list, or Hom out of a virtual entry,
-    raise CatalogIncomplete there.
+    raise CatalogIncomplete there.  One memoized rule serves both kinds of
+    quiver and both directions: `serre_step` and `serre_inv_step` apply
+    `serre_k` = A or `serre_k_inv` = A^{-1} to the dimension vector.
 
     `records` are a saved catalog's (dim, proj_vertex, inj_vertex) triples
     in id order; by default the orbits are walked.  Both go through `_link`.
@@ -64,19 +67,17 @@ class IndecCatalog:
         self.quiver = quiver
         self.dynkin = classify_dynkin(quiver) if quiver.is_connected() else None
         ed = coxeter_matrix(quiver)
-        self.euler_data = ed
-        self.phi = [list(r) for r in ed.coxeter]
         paths = path_counts(quiver)
         proj = [tuple(r) for r in paths]
         inj = [tuple(c) for c in zip(*paths)]
-        # Phi^{-1} = -P^T E, and the rows of P^T are the injective dims
-        self.phi_inv = [[-x for x in r] for r in int_mat_mul(inj, ed.euler)]
+        self.serre_k = ed.serre_k_action
+        # A^{-1} = P^T E, and the rows of P^T are the injective dims
+        self.serre_k_inv = int_mat_mul(inj, ed.euler)
         self.entries: list[CatalogEntry] = []
         self.by_dim: dict[tuple[int, ...], int] = {}
         self.proj_ids: list[int] = []
         self.inj_ids: list[int] = []
-        self._tau: dict[int, int | None] = {}
-        self._tau_inv: dict[int, int | None] = {}
+        self._steps: dict[tuple[int, int], tuple[int, int]] = {}
         self._hom: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._mono: dict[tuple[int, int], bool] = {}
@@ -113,34 +114,20 @@ class IndecCatalog:
             yield d, i, inj_vertex.get(d)
         for d in proj:
             while d not in inj_vertex:
-                d = int_mat_vec(self.phi_inv, d)
+                # off the injectives S^{-1} M = tau^{-1} M[-1], so -A^{-1} dim M
+                d = tuple(-x for x in int_mat_vec(self.serre_k_inv, d))
                 yield d, None, inj_vertex.get(d)
 
     def _link(self) -> None:
-        """proj/inj ids from the flags; on a Dynkin quiver, tau links from
-        Phi on dimension vectors and the root-count check."""
+        """proj/inj ids from the flags; on a Dynkin quiver, the check that
+        the dimension vectors are exactly the positive roots."""
         proj = {e.proj_vertex: e.ident for e in self.entries if e.is_projective}
         inj = {e.inj_vertex: e.ident for e in self.entries if e.is_injective}
         vertices = range(1, self.quiver.n + 1)
         self.proj_ids = [proj[i] for i in vertices]
         self.inj_ids = [inj[i] for i in vertices]
-        if self.dynkin is None:
-            return
-        for e in self.entries:
-            if e.is_projective:
-                self._tau[e.ident] = None
-            else:
-                prev = self.by_dim[int_mat_vec(self.phi, e.dim_vector)]
-                self._tau[e.ident] = prev
-                self._tau_inv[prev] = e.ident
-            if e.is_injective:
-                self._tau_inv[e.ident] = None
-        roots = positive_roots(self.quiver)
-        if len(self.entries) != len(roots):
-            raise AssertionError(
-                "catalog size %d does not match root count %d"
-                % (len(self.entries), len(roots))
-            )
+        if self.dynkin is not None and sorted(self.by_dim) != positive_roots(self.quiver):
+            raise AssertionError("catalog dimension vectors are not the positive roots")
 
     @property
     def is_complete(self) -> bool:
@@ -154,38 +141,32 @@ class IndecCatalog:
 
     # -- Serre steps on catalog ids
 
-    def _virtual_step(self, dim, phi) -> int:
-        # projectives and injectives are pre-registered, so _add merges any
-        # dimension collision back onto the flagged entry
-        new_dim = int_mat_vec(phi, dim)
-        if any(x < 0 for x in new_dim) or all(x == 0 for x in new_dim):
+    def _step(self, ident: int, sign: int) -> tuple[int, int]:
+        """S^sign M = M'[delta] from v = A^sign dim M, memoized.  The K-class
+        of S^sign M is v, so v <= 0 means M' = |v| sits one shift over
+        (delta = sign) and v >= 0 means delta = 0: the projectives for S,
+        the injectives for S^{-1}.  Off Dynkin quivers |v| becomes a virtual
+        entry when new; projectives and injectives are pre-registered, so
+        `_add` merges a collision back onto the flagged entry."""
+        dim = self.entries[ident].dim_vector
+        v = int_mat_vec(self.serre_k if sign > 0 else self.serre_k_inv, dim)
+        delta = 0
+        if all(x <= 0 for x in v):
+            v, delta = tuple(-x for x in v), sign
+        elif any(x < 0 for x in v):
             raise CatalogMiss("left the cataloged components at %s" % (dim,))
-        return self._add(new_dim)
+        target = self.by_dim.get(v) if self.is_complete else self._add(v)
+        if target is None:
+            raise CatalogMiss("no catalog entry of dimension %s" % (v,))
+        self._steps[ident, sign] = target, delta
+        return target, delta
 
     def serre_step(self, ident: int) -> tuple[int, int]:
         """S(M[k]) = M'[k + delta]: returns (image id, delta)."""
-        e = self.entries[ident]
-        if e.proj_vertex is not None:
-            return self.inj_ids[e.proj_vertex - 1], 0
-        if ident in self._tau:
-            tau_id = self._tau[ident]
-            if tau_id is not None:
-                return tau_id, 1
-        if self.dynkin is not None:
-            raise CatalogMiss("no tau link for id %d" % ident)
-        return self._virtual_step(e.dim_vector, self.phi), 1
+        return self._steps.get((ident, 1)) or self._step(ident, 1)
 
     def serre_inv_step(self, ident: int) -> tuple[int, int]:
-        e = self.entries[ident]
-        if e.inj_vertex is not None:
-            return self.proj_ids[e.inj_vertex - 1], 0
-        if ident in self._tau_inv:
-            ti = self._tau_inv[ident]
-            if ti is not None:
-                return ti, -1
-        if self.dynkin is not None:
-            raise CatalogMiss("no tau-inverse link for id %d" % ident)
-        return self._virtual_step(e.dim_vector, self.phi_inv), -1
+        return self._steps.get((ident, -1)) or self._step(ident, -1)
 
     # -- pairwise tables (lazy, memoized)
 
@@ -197,35 +178,27 @@ class IndecCatalog:
                 "needs a Dynkin quiver" % ident
             )
 
+    def _fill(self, a: int, b: int) -> None:
+        """Every cataloged entry lies in a directed component, where Hom and
+        Ext^1 are never both nonzero, so chi = hom - ext gives both.  Out of
+        a projective chi(P_i, N) is dim N at vertex i, valid for virtual N."""
+        src = self.entries[a]
+        if not src.is_projective:
+            self._require_module(a)
+            self._require_module(b)
+        chi = euler_form(self.quiver, src.dim_vector, self.entries[b].dim_vector)
+        self._hom[a, b] = max(chi, 0)
+        self._ext[a, b] = max(-chi, 0)
+
     def hom_dim(self, a: int, b: int) -> int:
-        key = (a, b)
-        if key not in self._hom:
-            src = self.entries[a]
-            if src.proj_vertex is not None:
-                # dim Hom(P_i, N) = dim N at vertex i; valid for virtual N too
-                self._hom[key] = self.entries[b].dim_vector[src.proj_vertex - 1]
-            else:
-                self._require_module(a)
-                self._require_module(b)
-                # every cataloged entry lies in a directed component, where
-                # Hom and Ext^1 are never both nonzero: hom = max(chi, 0)
-                chi = euler_form(self.quiver, src.dim_vector, self.entries[b].dim_vector)
-                self._hom[key] = max(chi, 0)
-        return self._hom[key]
+        if (a, b) not in self._hom:
+            self._fill(a, b)
+        return self._hom[a, b]
 
     def ext_dim(self, a: int, b: int) -> int:
-        key = (a, b)
-        if key not in self._ext:
-            if self.entries[a].proj_vertex is not None:
-                self._ext[key] = 0
-            else:
-                val = self.hom_dim(a, b) - euler_form(
-                    self.quiver, self.entries[a].dim_vector, self.entries[b].dim_vector
-                )
-                if val < 0:
-                    raise AssertionError("negative Ext dimension in catalog")
-                self._ext[key] = val
-        return self._ext[key]
+        if (a, b) not in self._ext:
+            self._fill(a, b)
+        return self._ext[a, b]
 
     def mono(self, a: int, b: int) -> bool:
         """Does a monomorphism entry_a -> entry_b exist?  Without a nonzero
@@ -255,7 +228,7 @@ class IndecCatalog:
 
 def save_catalog(cat: IndecCatalog, path: str) -> None:
     """Persist a complete (Dynkin) catalog: each entry's dimension vector and
-    flags, in id order; the tau links are relinked on load."""
+    flags, in id order; the Serre steps are recomputed after load."""
     cat.require_complete()
     payload = {
         "format_version": CATALOG_FORMAT_VERSION,

@@ -46,15 +46,12 @@ def standard_generator(q: Quiver) -> DerivedObject:
 def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
     """S^power applied summand by summand; negative powers use the inverse."""
     cat = catalog_for(x.quiver)
+    step = cat.serre_step if power >= 0 else cat.serre_inv_step
     pairs = list(x.summands)
-    steps = abs(power)
-    for _ in range(steps):
+    for _ in range(abs(power)):
         new_pairs = []
         for ident, k in pairs:
-            if power >= 0:
-                ident2, delta = cat.serre_step(ident)
-            else:
-                ident2, delta = cat.serre_inv_step(ident)
+            ident2, delta = step(ident)
             new_pairs.append((ident2, k + delta))
         pairs = new_pairs
     return DerivedObject.create(x.quiver, pairs)

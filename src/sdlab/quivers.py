@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .errors import (
@@ -288,11 +289,14 @@ def _shape_of_tree(q: Quiver) -> tuple[str, int] | None:
     return None
 
 
+@cache
 def classify_dynkin(q: Quiver) -> DynkinClass | None:
     """ADE class with Coxeter number, or None for non-Dynkin shapes.
 
     The tabulated h is cross-checked as the minimal m with Phi^m = id;
     disagreement would mean a broken Coxeter matrix, so it raises.
+    Memoized per quiver; a raise is not cached, so a disconnected quiver
+    raises on every call.
     """
     if not q.is_connected():
         raise DisconnectedQuiver("classification needs a connected quiver")

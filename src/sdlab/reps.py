@@ -324,9 +324,9 @@ def catalog_reps(cat: IndecCatalog) -> list[Representation | None]:
         reps: list[Representation | None] = [None] * cat.size()
         for i, ident in enumerate(cat.proj_ids, start=1):
             cur = reps[ident] = projective_rep(q, i)
-            while cat.is_complete and cat._tau_inv[ident] is not None:
+            while cat.is_complete and not cat.entries[ident].is_injective:
                 cur = _coxeter_sweep(cur, inverse=True)
-                ident = cat._tau_inv[ident]
+                ident, _ = cat.serre_inv_step(ident)
                 if cur.dim_vector != cat.entries[ident].dim_vector:
                     raise AssertionError("knitting does not match Coxeter action")
                 reps[ident] = cur

@@ -266,8 +266,7 @@ def act(sigma: StabilityCondition, action) -> StabilityCondition:
     if isinstance(action, str):
         if action != "serre":
             raise ConfigError("unknown action %r" % action)
-        # The Serre K-action is -phi, so its inverse is -phi_inv.
-        inv = [[-x for x in row] for row in cat.phi_inv]
+        inv = cat.serre_k_inv
         n = q.n
         new_z = tuple(
             sum(sigma.z_simples[j] * inv[j][i] for j in range(n)) for i in range(n)
@@ -339,9 +338,7 @@ def gepner_construct(q: Quiver) -> StabilityCondition:
         raise NotDynkin("Gepner construction needs a Dynkin quiver")
     h = dyn.coxeter_number
     cat = catalog_for(q)
-    alpha = np.array(
-        [[float(v) for v in row] for row in cat.euler_data.serre_k_action]
-    )
+    alpha = np.array([[float(v) for v in row] for row in cat.serre_k])
     target = cmath.exp(1j * math.pi * (h - 2) / h)
     vals, vecs = np.linalg.eig(alpha.T)
     idx = int(np.argmin(np.abs(vals - target)))

@@ -17,7 +17,7 @@ from .curves import CurveStability, curve_gldim, curve_gldim_bounds, shift_gap_g
 from .derived import DerivedObject, hom_poincare, serre_apply, standard_generator
 from .entropy import entropy_estimate, sdim_estimate, volume
 from .prng import SplitMix64, fold_seed
-from .quivers import classify_dynkin, coxeter_matrix, euler_form, int_mat_vec, parse_quiver
+from .quivers import classify_dynkin, coxeter_matrix, euler_form, parse_quiver
 from .stability import (
     act,
     extract_exceptional_collection,
@@ -75,7 +75,11 @@ def check_euler_form_random_agreement(quivers, seed) -> CheckResult:
 
 
 def check_coxeter_tau_action(quivers) -> CheckResult:
-    """dim tau M equals the Coxeter matrix acting on dim M, exhaustively."""
+    """The Serre step's tau M, read off the Coxeter action on K-classes,
+    against the reflection-functor translate of the knitted representation,
+    on every nonprojective entry."""
+    from . import reps  # the exact oracle, looked up when the check runs
+
     bad = 0
     total = 0
     for name in quivers:
@@ -83,14 +87,14 @@ def check_coxeter_tau_action(quivers) -> CheckResult:
         cat = catalog_for(q)
         if not cat.is_complete:
             continue
-        phi = cat.phi
+        knitted = reps.catalog_reps(cat)
         for e in cat.entries:
             if e.is_projective:
                 continue
             total += 1
-            tau_id = cat._tau[e.ident]
-            expected = int_mat_vec(phi, e.dim_vector)
-            if expected != cat.entries[tau_id].dim_vector:
+            tau_id, delta = cat.serre_step(e.ident)
+            image = reps.ar_translate(knitted[e.ident], "forward")
+            if delta != 1 or image is None or image.dim_vector != cat.entries[tau_id].dim_vector:
                 bad += 1
     return _result(
         "coxeter-tau-action", bad == 0, float(bad == 0),
@@ -115,7 +119,7 @@ def check_serre_duality_modules(quivers) -> CheckResult:
                 if ea.is_projective:
                     ok = ext == 0
                 else:
-                    ok = ext == cat.hom_dim(b, cat._tau[a])
+                    ok = ext == cat.hom_dim(b, cat.serre_step(a)[0])
                 if not ok:
                     bad += 1
     return _result(

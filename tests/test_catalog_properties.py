@@ -1,6 +1,7 @@
 """The integer catalog against the exact representation oracle, over random
 orientations of Dynkin trees."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -46,12 +47,13 @@ def test_catalog_matches_exact_oracle(q):
         assert cat.entries[cat.inj_ids[i - 1]].dim_vector == injective_rep(q, i).dim_vector
     for a in range(size):
         assert reps[a].dim_vector == cat.entries[a].dim_vector
-        for direction, links in (("forward", cat._tau), ("inverse", cat._tau_inv)):
+        for direction, step in (("forward", cat.serre_step), ("inverse", cat.serre_inv_step)):
             image = ar_translate(reps[a], direction)
-            if links[a] is None:
+            link, delta = step(a)  # delta is 0 exactly at the tau boundary
+            if delta == 0:
                 assert image is None
             else:
-                assert image.dim_vector == cat.entries[links[a]].dim_vector
+                assert image.dim_vector == cat.entries[link].dim_vector
     # Euler-form tables and the monomorphism test on every pair
     for a in range(size):
         for b in range(size):
@@ -61,3 +63,36 @@ def test_catalog_matches_exact_oracle(q):
             assert cat.ext_dim(a, b) == ext
             assert cat.hom_dim(a, b) == ext + euler_form(q, ra.dim_vector, rb.dim_vector)
             assert cat.mono(a, b) == exists_mono(ra, rb)
+
+
+def _assert_round_trip(cat, ident):
+    for step, back in ((cat.serre_step, cat.serre_inv_step), (cat.serre_inv_step, cat.serre_step)):
+        image, delta = step(ident)
+        again, delta_back = back(image)
+        assert again == ident and delta + delta_back == 0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(orientations())
+def test_serre_steps_round_trip_on_dynkin(q):
+    cat = IndecCatalog(q)
+    for ident in range(cat.size()):
+        _assert_round_trip(cat, ident)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["K2", "K3", "K4", "K5", "vertices:3; arrows:1->2,2->3,1->3",
+     "vertices:5; arrows:2->1,3->1,4->1,5->1"],
+    ids=["K2", "K3", "K4", "K5", "A~2", "D~4"],
+)
+def test_serre_steps_round_trip_along_orbits(text):
+    # S^{+-n} G for n <= 8, on the virtual entries the steps create
+    cat = IndecCatalog(parse_quiver(text))
+    for step in (cat.serre_step, cat.serre_inv_step):
+        ids = list(cat.proj_ids)
+        for _ in range(8):
+            ids = [step(i)[0] for i in ids]
+            for ident in ids:
+                _assert_round_trip(cat, ident)

@@ -208,7 +208,7 @@ def test_catalog_json_roundtrip(tmp_path):
         assert e1.proj_vertex == e2.proj_vertex
         assert e1.inj_vertex == e2.inj_vertex
     for ident in range(cat.size()):
-        assert loaded._tau[ident] == cat._tau[ident]
+        assert loaded.serre_inv_step(ident) == cat.serre_inv_step(ident)
         assert loaded.serre_step(ident) == cat.serre_step(ident)
 
 

@@ -1,4 +1,4 @@
-from sdlab.verify import run_all
+from sdlab.verify import check_coxeter_tau_action, run_all
 
 
 def test_battery_passes_on_small_configuration():
@@ -19,3 +19,14 @@ def test_battery_is_deterministic():
     assert [(r.name, r.margin) for r in a.results] == [
         (r.name, r.margin) for r in b.results
     ]
+
+
+def test_coxeter_tau_action_checks_against_reflection_functors(monkeypatch):
+    import sdlab.reps
+
+    assert check_coxeter_tau_action(("A3",)).passed
+    # a translate that returns its input is wrong on every Dynkin entry
+    monkeypatch.setattr(sdlab.reps, "ar_translate", lambda m, direction="forward": m)
+    result = check_coxeter_tau_action(("A3",))
+    assert not result.passed
+    assert result.detail.startswith("0/")
