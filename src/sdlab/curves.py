@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, EmptyGrid, GenusTooSmall, ZeroClass
 
 
@@ -93,9 +91,12 @@ def curve_inf_scan(g: int, h_grid, beta: float = 0.0):
     return rows
 
 
-def shift_gap_grid(g: int, H: float, x_grid) -> np.ndarray:
+def shift_gap_grid(g: int, H: float, x_grid):
     """1 + (arccot((x - (2g-2))/H) - arccot(x/H)) / pi over a grid of real
-    twist shifts x; its max approaches the closed-form upper bound."""
+    twist shifts x, as a numpy array; its max approaches the closed-form
+    upper bound."""
+    import numpy as np
+
     xs = np.asarray([float(x) for x in x_grid], dtype=float)
     a = np.pi / 2.0 - np.arctan((xs - (2.0 * g - 2.0)) / H)
     b = np.pi / 2.0 - np.arctan(xs / H)
@@ -111,6 +112,8 @@ def genus0_pair_sup(cs: CurveStability, a_max: int = 200) -> float:
     iff b <= a - 2 (Serre duality with omega = O(-2))."""
     if cs.genus != 0:
         raise ConfigError("genus 0 oracle called with genus %d" % cs.genus)
+    import numpy as np
+
     a = np.arange(-a_max, a_max + 1, dtype=float)
     phases = np.arctan2(cs.H, cs.beta - a) / np.pi  # class (1, a)
     prefmin = np.minimum.accumulate(phases)
@@ -127,6 +130,8 @@ def genus1_pair_sup(cs: CurveStability, r_max: int = 50, d_max: int = 50) -> flo
     mirror the Hom pairs and are omitted."""
     if cs.genus != 1:
         raise ConfigError("genus 1 oracle called with genus %d" % cs.genus)
+    import numpy as np
+
     rs, ds = [], []
     for d in range(1, d_max + 1):  # torsion classes
         rs.append(0)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .derived import hom_poincare, require_nonzero, serre_apply, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
 from .quivers import Quiver, classify_dynkin
@@ -85,6 +83,8 @@ def _fit_intercept(ns, ys) -> float:
     """Least-squares fit of y = a + b/n; returns a (the n -> infinity limit)."""
     if len(ns) == 1:
         return ys[0]
+    import numpy as np
+
     xs = np.array([1.0 / n for n in ns])
     b, a = np.polyfit(xs, np.array(ys), 1)
     return float(a)
@@ -164,6 +164,12 @@ def entropy_profile(
         raise EmptyGrid("entropy profile needs a nonempty t grid")
     if len(ts) < 3:
         raise ConfigError("entropy profile needs at least 3 grid points")
+    if len(set(ts)) < 2:
+        # a line through one abscissa is undetermined: polyfit raises
+        # LinAlgError at t = 0 and returns a rank-deficient fit elsewhere
+        raise ConfigError("entropy profile needs at least 2 distinct grid points")
+    import numpy as np
+
     hs = np.array([entropy_estimate(q, t, n_max, budget) for t in ts])
     # polyfit squares the t column, which overflows past |t| ~ 1e154; fit on
     # t / 2**e instead.  Scaling by a power of two is exact, so grids that

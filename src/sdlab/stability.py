@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import IndecCatalog, catalog_for
 from .derived import DerivedObject, serre_apply, standard_generator
 from .entropy import _fit_intercept, _log_sum_exp, _sample_points
@@ -336,6 +334,8 @@ def gepner_construct(q: Quiver) -> StabilityCondition:
     dyn = classify_dynkin(q)
     if dyn is None:
         raise NotDynkin("Gepner construction needs a Dynkin quiver")
+    import numpy as np
+
     h = dyn.coxeter_number
     cat = catalog_for(q)
     alpha = np.array([[float(v) for v in row] for row in cat.serre_k])

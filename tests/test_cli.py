@@ -3,8 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdlab.cli import main
 
@@ -242,6 +245,40 @@ def test_entropy_profile_fits_huge_grid_points(tmp_path):
     assert abs(json.loads(run.stdout)["slope"] - 1.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", ["0,0,0", "1,1,1"], ids=["zeros", "ones"])
+def test_entropy_profile_needs_two_distinct_grid_points(capsys, grid):
+    # one abscissa fixes no line: numpy's fit raised LinAlgError at 0 and
+    # printed a rank-deficient slope (1/6 on A2, true slope 1/3) at 1
+    code, out, err = _run(capsys, ["entropy", "--quiver", "A2", "--t-grid=" + grid])
+    assert code == 2 and out == ""
+    assert _error_type(err) == "ConfigError"
+
+
+# repeats, zero, unit and near-overflow values; lists may be empty
+T_POOL = (0.0, 1.0, -1.0, 2.5, 1e300, -1e300)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from([["entropy"], ["stab", "mass", "--gepner"]]),
+    quiver=st.sampled_from(["A2", "D4"]),
+    ts=st.lists(st.sampled_from(T_POOL), max_size=5),
+)
+def test_t_grid_inputs_end_in_an_exit_code(capsys, command, quiver, ts):
+    argv = command + ["--quiver", quiver, "--t-grid=" + ",".join(map(repr, ts))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a float warning is a failure too
+        code, out, err = _run(capsys, argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        _error_type(err)
+    else:
+        assert err == ""
+        json.loads(out)
+
+
 def test_out_writes_same_bytes(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = _run(
@@ -302,19 +339,62 @@ def test_cli_leaves_working_directory_empty(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_runtime_never_imports_the_exact_oracle(tmp_path):
-    # IndecCatalog.mono is the only runtime path into sdlab.reps, and no
-    # monomorphism search runs at a Gepner point
+def _modules_loaded(tmp_path, watched, argvs):
+    """One child runs `import sdlab`, `import sdlab.cli` and then
+    `main(argv)` for each argv in turn.  Returns the watched modules in
+    sys.modules after each step, keyed by step, and each command's exit code
+    and stdout."""
     script = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
+        "watched = %r\n"
+        "steps = {}\n"
+        "def seen(step):\n"
+        "    steps[step] = [m for m in watched if m in sys.modules]\n"
+        "import sdlab\n"
+        "seen('import sdlab')\n"
         "import sdlab.cli\n"
-        "oracle = ('sdlab.reps', 'sdlab.exactmat')\n"
-        "assert not [m for m in oracle if m in sys.modules], 'import'\n"
-        "code = sdlab.cli.main(['stab', 'gepner', '--quiver', 'E8', '--check'])\n"
-        "assert not [m for m in oracle if m in sys.modules], 'gepner'\n"
-        "sys.exit(code)\n"
-    )
+        "seen('import sdlab.cli')\n"
+        "runs = []\n"
+        "for argv in %r:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append((sdlab.cli.main(argv), out.getvalue()))\n"
+        "    seen(' '.join(argv))\n"
+        "print(json.dumps({'steps': steps, 'runs': runs}))\n"
+    ) % (watched, argvs)
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=_subprocess_env(), cwd=str(tmp_path))
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout)["verdict"] is True
+    report = json.loads(run.stdout)
+    return report["steps"], report["runs"]
+
+
+def test_runtime_never_imports_the_exact_oracle(tmp_path):
+    # IndecCatalog.mono is the only runtime path into sdlab.reps, and no
+    # monomorphism search runs at a Gepner point
+    steps, runs = _modules_loaded(
+        tmp_path, ("sdlab.reps", "sdlab.exactmat"),
+        [["stab", "gepner", "--quiver", "E8", "--check"]],
+    )
+    assert steps == dict.fromkeys(steps, [])
+    [(code, out)] = runs
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
+# `cli-cold` commands that need no eigenvector, line fit or curve oracle;
+# K2 is not Dynkin, so `gepner` stops before the eigenvector
+NUMPY_FREE_ARGV = [
+    ["quiver", "--quiver", "E8"],
+    ["sdim", "--quiver", "E8"],
+    ["stab", "sample", "--quiver", "D8", "--seed", "7"],
+    ["curve", "--genus", "2", "--h-grid", "0.5,1,10,100,1000"],
+    ["stab", "gepner", "--quiver", "K2"],
+]
+
+
+def test_import_and_numpy_free_commands_never_load_numpy(tmp_path):
+    steps, runs = _modules_loaded(tmp_path, ("numpy",), NUMPY_FREE_ARGV)
+    assert len(steps) == 2 + len(NUMPY_FREE_ARGV)
+    assert steps == dict.fromkeys(steps, [])
+    assert [code for code, _ in runs] == [0, 0, 0, 0, 3]

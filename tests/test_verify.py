@@ -1,4 +1,4 @@
-from sdlab.verify import check_coxeter_tau_action, run_all
+from sdlab.verify import check_coxeter_tau_action, check_serre_duality_modules, run_all
 
 
 def test_battery_passes_on_small_configuration():
@@ -28,5 +28,17 @@ def test_coxeter_tau_action_checks_against_reflection_functors(monkeypatch):
     # a translate that returns its input is wrong on every Dynkin entry
     monkeypatch.setattr(sdlab.reps, "ar_translate", lambda m, direction="forward": m)
     result = check_coxeter_tau_action(("A3",))
+    assert not result.passed
+    assert result.detail.startswith("0/")
+
+
+def test_serre_duality_check_solves_ext_on_representations(monkeypatch):
+    import sdlab.reps
+
+    assert check_serre_duality_modules(("A3",)).passed
+    # an Ext that is one too large on every pair contradicts Serre duality
+    real = sdlab.reps.ext1_dim
+    monkeypatch.setattr(sdlab.reps, "ext1_dim", lambda m, n: real(m, n) + 1)
+    result = check_serre_duality_modules(("A3",))
     assert not result.passed
     assert result.detail.startswith("0/")
