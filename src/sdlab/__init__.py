@@ -94,7 +94,6 @@ from .stability import (
     mass_growth,
     restrict_to_subquiver,
     sample_stability,
-    semistable_indecomposables,
     sigma_from_json,
 )
 from .verify import CheckResult, VerifySummary, run_all
@@ -118,10 +117,10 @@ __all__ = [
     "entropy_series", "entropy_estimate", "sdim_estimate", "volume",
     "entropy_profile",
     "Record", "StabilityCondition", "GepnerReport", "MassGrowth",
-    "make_stability", "semistable_indecomposables", "gldim", "mass",
-    "mass_growth", "act", "gepner_check", "gepner_construct",
-    "sample_stability", "extract_exceptional_collection",
-    "restrict_to_subquiver", "sigma_from_json",
+    "make_stability", "gldim", "mass", "mass_growth", "act",
+    "gepner_check", "gepner_construct", "sample_stability",
+    "extract_exceptional_collection", "restrict_to_subquiver",
+    "sigma_from_json",
     "NumericalClass", "CurveStability", "curve_charge", "curve_gldim",
     "curve_gldim_bounds", "curve_inf_scan", "shift_gap_grid",
     "genus0_pair_sup", "genus1_pair_sup",

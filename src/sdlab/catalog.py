@@ -136,9 +136,6 @@ class IndecCatalog:
     def size(self) -> int:
         return len(self.entries)
 
-    def entry(self, ident: int) -> CatalogEntry:
-        return self.entries[ident]
-
     # -- Serre steps on catalog ids
 
     def _step(self, ident: int, sign: int) -> tuple[int, int]:

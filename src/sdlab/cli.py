@@ -522,7 +522,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the cross-check battery")
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--quivers", type=lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-                   default=("A2", "A3", "D4"))
+                   default=ver.DEFAULT_QUIVERS)
     p.add_argument("--samples", type=int, default=50)
     _add_common(p)
 

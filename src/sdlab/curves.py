@@ -97,7 +97,7 @@ def shift_gap_grid(g: int, H: float, x_grid):
     upper bound."""
     import numpy as np
 
-    xs = np.asarray([float(x) for x in x_grid], dtype=float)
+    xs = np.asarray(x_grid, dtype=float)
     a = np.pi / 2.0 - np.arctan((xs - (2.0 * g - 2.0)) / H)
     b = np.pi / 2.0 - np.arctan(xs / H)
     return 1.0 + (a - b) / np.pi

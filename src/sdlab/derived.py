@@ -33,9 +33,6 @@ class DerivedObject:
     def total_summands(self) -> int:
         return len(self.summands)
 
-    def to_json(self) -> list:
-        return [[i, k] for i, k in self.summands]
-
 
 def standard_generator(q: Quiver) -> DerivedObject:
     """G = direct sum of the indecomposable projectives, in degree 0."""

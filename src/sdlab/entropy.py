@@ -43,16 +43,6 @@ class EntropySeries:
         """log f_n(t) via a log-sum-exp, safe for large |m t|."""
         return _log_sum_exp(math.log(d) - m * t for m, d in self.levels[n].items())
 
-    def total_dim(self, n: int) -> int:
-        return sum(self.levels[n].values())
-
-    def csv(self) -> str:
-        lines = ["n,m,dim"]
-        for n, lev in enumerate(self.levels):
-            for m in sorted(lev):
-                lines.append("%d,%d,%d" % (n, m, lev[m]))
-        return "\n".join(lines) + "\n"
-
 
 @functools.lru_cache(maxsize=64)
 def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
@@ -185,10 +175,3 @@ def entropy_profile(
         residual=residual,
         c_hat=complex(float(slope), float(intercept) / math.pi),
     )
-
-
-def profile_csv(t_grid, values) -> str:
-    lines = ["t,h_t"]
-    for t, h in zip(t_grid, values):
-        lines.append("%r,%r" % (float(t), float(h)))
-    return "\n".join(lines) + "\n"

@@ -56,13 +56,6 @@ class StabilityCondition:
     quiver: Quiver
     z_simples: tuple
     records: tuple
-    support_constant: float
-
-    def record_by_ident(self, ident: int) -> Record | None:
-        for r in self.records:
-            if r.ident == ident:
-                return r
-        return None
 
     def to_json(self) -> dict:
         return {
@@ -81,26 +74,13 @@ def _charge(z_simples, dim) -> complex:
     return sum(d * z for d, z in zip(dim, z_simples))
 
 
-def _support_constant(cat: IndecCatalog, z_simples) -> float:
-    worst = 0.0
-    for e in cat.entries:
-        norm = math.sqrt(sum(d * d for d in e.dim_vector))
-        worst = max(worst, norm / abs(_charge(z_simples, e.dim_vector)))
-    return 1.01 * worst
-
-
 def _assemble(q: Quiver, cat: IndecCatalog, z_simples, triples) -> StabilityCondition:
     records = []
     for ident, shift, phase in triples:
         z = _charge(z_simples, cat.entries[ident].dim_vector)
         records.append(Record(ident, shift, phase, z))
     records.sort(key=lambda r: (r.phase, r.ident, r.shift))
-    return StabilityCondition(
-        quiver=q,
-        z_simples=tuple(z_simples),
-        records=tuple(records),
-        support_constant=_support_constant(cat, z_simples),
-    )
+    return StabilityCondition(quiver=q, z_simples=tuple(z_simples), records=tuple(records))
 
 
 def make_stability(q: Quiver, z_simples) -> StabilityCondition:
@@ -149,11 +129,6 @@ def make_stability(q: Quiver, z_simples) -> StabilityCondition:
         if stable:
             triples.append((e.ident, 0, p))
     return _assemble(q, cat, z_simples, triples)
-
-
-def semistable_indecomposables(sigma: StabilityCondition):
-    """The records themselves: semistable indecomposables with phases."""
-    return sigma.records
 
 
 def gldim(sigma: StabilityCondition) -> float:

@@ -24,6 +24,7 @@ from .stability import (
     gepner_check,
     gepner_construct,
     gldim,
+    make_stability,
     mass_growth,
     sample_stability,
 )
@@ -50,12 +51,12 @@ def _result(name, passed, margin, detail) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), margin=float(margin), detail=detail)
 
 
-def check_euler_form_random_agreement(quivers, seed) -> CheckResult:
-    """Double-sum Euler form against the matrix bilinear form."""
+def check_euler_form_random_agreement(parsed, seed) -> CheckResult:
+    """Double-sum Euler form against the matrix bilinear form, on every
+    (name, quiver) pair."""
     bad = 0
     total = 0
-    for name in quivers:
-        q = parse_quiver(name)
+    for name, q in parsed:
         e = coxeter_matrix(q).euler
         gen = SplitMix64(fold_seed("euler-check", seed, name))
         for _ in range(50):
@@ -74,7 +75,7 @@ def check_euler_form_random_agreement(quivers, seed) -> CheckResult:
     )
 
 
-def check_coxeter_tau_action(quivers) -> CheckResult:
+def check_coxeter_tau_action(dynkin) -> CheckResult:
     """The Serre step's tau M, read off the Coxeter action on K-classes,
     against the reflection-functor translate of the knitted representation,
     on every nonprojective entry."""
@@ -82,11 +83,8 @@ def check_coxeter_tau_action(quivers) -> CheckResult:
 
     bad = 0
     total = 0
-    for name in quivers:
-        q = parse_quiver(name)
+    for _, q, _ in dynkin:
         cat = catalog_for(q)
-        if not cat.is_complete:
-            continue
         knitted = reps.catalog_reps(cat)
         for e in cat.entries:
             if e.is_projective:
@@ -102,7 +100,7 @@ def check_coxeter_tau_action(quivers) -> CheckResult:
     )
 
 
-def check_serre_duality_modules(quivers) -> CheckResult:
+def check_serre_duality_modules(dynkin) -> CheckResult:
     """ext1(M, N) = hom(N, tau M) over all pairs with M nonprojective, and
     ext1(M, N) = 0 for M projective.  Ext is solved on the knitted
     representations; the catalog's Euler-form tables give Hom, so the two
@@ -111,11 +109,8 @@ def check_serre_duality_modules(quivers) -> CheckResult:
 
     bad = 0
     total = 0
-    for name in quivers:
-        q = parse_quiver(name)
+    for _, q, _ in dynkin:
         cat = catalog_for(q)
-        if not cat.is_complete:
-            continue
         knitted = reps.catalog_reps(cat)
         for a in range(cat.size()):
             for b in range(cat.size()):
@@ -134,14 +129,10 @@ def check_serre_duality_modules(quivers) -> CheckResult:
     )
 
 
-def check_dynkin_periodicity(quivers) -> CheckResult:
+def check_dynkin_periodicity(dynkin) -> CheckResult:
     """S^h G = G[h-2] as derived objects."""
     bad = []
-    for name in quivers:
-        q = parse_quiver(name)
-        dyn = classify_dynkin(q)
-        if dyn is None:
-            continue
+    for name, q, dyn in dynkin:
         g = standard_generator(q)
         if serre_apply(g, dyn.coxeter_number) != g.shift(dyn.coxeter_number - 2):
             bad.append(name)
@@ -151,15 +142,12 @@ def check_dynkin_periodicity(quivers) -> CheckResult:
     )
 
 
-def check_poincare_serre_duality(quivers, seed) -> CheckResult:
+def check_poincare_serre_duality(dynkin, seed) -> CheckResult:
     """dim Hom(X, Y[m]) = dim Hom(Y, S X [-m]) on random shifted objects."""
     bad = 0
     total = 0
-    for name in quivers:
-        q = parse_quiver(name)
+    for name, q, _ in dynkin:
         cat = catalog_for(q)
-        if not cat.is_complete:
-            continue
         gen = SplitMix64(fold_seed("poincare-duality", seed, name))
         for _ in range(20):
             x = DerivedObject.create(
@@ -187,15 +175,11 @@ def check_poincare_serre_duality(quivers, seed) -> CheckResult:
     )
 
 
-def check_fundamental_inequality(quivers, samples, seed) -> CheckResult:
+def check_fundamental_inequality(dynkin, samples, seed) -> CheckResult:
     """gldim(sigma) >= (h-2)/h on every sampled stability condition."""
     worst = math.inf
     worst_at = ""
-    for name in quivers:
-        q = parse_quiver(name)
-        dyn = classify_dynkin(q)
-        if dyn is None:
-            continue
+    for name, q, dyn in dynkin:
         bound = (dyn.coxeter_number - 2) / dyn.coxeter_number
         for k in range(samples):
             sigma = sample_stability(q, fold_seed(seed, name, k))
@@ -209,18 +193,14 @@ def check_fundamental_inequality(quivers, samples, seed) -> CheckResult:
     )
 
 
-def check_gepner_points(quivers, samples, seed) -> CheckResult:
+def check_gepner_points(points, samples, seed) -> CheckResult:
     """gepner_check verdict is an iff at desk scale: true on the constructed
-    point and its rotations, false on angular perturbations."""
+    point and its rotations, false on angular perturbations that are not
+    the C-action (one complex multiple of every charge)."""
     failures = []
-    for name in quivers:
-        q = parse_quiver(name)
-        dyn = classify_dynkin(q)
-        if dyn is None:
-            continue
+    for name, q, dyn, sigma in points:
         h = dyn.coxeter_number
         mu = (h - 2) / h
-        sigma = gepner_construct(q)
         if not gepner_check(sigma, mu).verdict:
             failures.append("%s: constructed point rejected" % name)
         gen = SplitMix64(fold_seed("gepner-battery", seed, name))
@@ -238,11 +218,8 @@ def check_gepner_points(quivers, samples, seed) -> CheckResult:
                 else zi * (1.0 + 0.5 * gen.next_float())
                 for zi in sigma.z_simples
             ]
-            from .stability import make_stability
-
             jittered = make_stability(q, z)
-            rep = gepner_check(jittered, mu)
-            if rep.verdict and any(abs(a - b) > 1e-6 for a, b in zip(z, sigma.z_simples)):
+            if gepner_check(jittered, mu).verdict and not _complex_multiple(z, sigma.z_simples):
                 failures.append("%s: jitter %d accepted" % (name, k))
     return _result(
         "gepner-check-iff", not failures, float(not failures),
@@ -250,15 +227,20 @@ def check_gepner_points(quivers, samples, seed) -> CheckResult:
     )
 
 
-def check_all_semistable_small_gldim(quivers) -> CheckResult:
+def _complex_multiple(z, w) -> bool:
+    """Is z = c w for one complex c?  The jitter then acts as C does, which
+    keeps a Gepner point one."""
+    k = max(range(len(w)), key=lambda i: abs(w[i]))
+    c = z[k] / w[k]
+    scale = max(abs(zi) for zi in z)
+    return all(abs(zi - c * wi) <= 1e-9 * scale for zi, wi in zip(z, w))
+
+
+def check_all_semistable_small_gldim(points) -> CheckResult:
     """Global dimension at most 1 forces every indecomposable semistable."""
     bad = []
     margin = math.inf
-    for name in quivers:
-        q = parse_quiver(name)
-        if classify_dynkin(q) is None:
-            continue
-        sigma = gepner_construct(q)
+    for name, q, _, sigma in points:
         g = gldim(sigma)
         cat = catalog_for(q)
         if g <= 1.0 + 1e-9:
@@ -272,15 +254,11 @@ def check_all_semistable_small_gldim(quivers) -> CheckResult:
     )
 
 
-def check_exceptional_collections(quivers) -> CheckResult:
+def check_exceptional_collections(points) -> CheckResult:
     """Extraction yields a full strong collection: unitriangular Gram matrix
     with unit diagonal and determinant +-1 in K-theory."""
     bad = []
-    for name in quivers:
-        q = parse_quiver(name)
-        if classify_dynkin(q) is None:
-            continue
-        sigma = gepner_construct(q)
+    for name, q, _, sigma in points:
         if gldim(sigma) >= 1.0 - 1e-9:
             continue
         cat = catalog_for(q)
@@ -339,15 +317,11 @@ def _int_det(rows) -> int:
     return int(det)
 
 
-def check_serre_image_phase_window(quivers) -> CheckResult:
+def check_serre_image_phase_window(points) -> CheckResult:
     """On an all-semistable sigma, phases move under the Serre functor by at
     most gldim and by more than -1."""
     worst = math.inf
-    for name in quivers:
-        q = parse_quiver(name)
-        if classify_dynkin(q) is None:
-            continue
-        sigma = gepner_construct(q)
+    for _, q, _, sigma in points:
         g = gldim(sigma)
         cat = catalog_for(q)
         by_ident = {r.ident: r for r in sigma.records}
@@ -365,15 +339,11 @@ def check_serre_image_phase_window(quivers) -> CheckResult:
     )
 
 
-def check_mass_growth_vs_entropy(quivers, n_max=30) -> CheckResult:
+def check_mass_growth_vs_entropy(points, n_max=30) -> CheckResult:
     """Mass growth of S^n G under sigma never exceeds categorical entropy."""
     worst = math.inf
     ts = [-1.0, 0.0, 0.5, 1.0, 2.0]
-    for name in quivers:
-        q = parse_quiver(name)
-        if classify_dynkin(q) is None:
-            continue
-        sigma = gepner_construct(q)
+    for _, q, _, sigma in points:
         mg = mass_growth(sigma, ts, n_max)
         for t, rate in zip(ts, mg.rates):
             h = entropy_estimate(q, t, n_max)
@@ -384,15 +354,11 @@ def check_mass_growth_vs_entropy(quivers, n_max=30) -> CheckResult:
     )
 
 
-def check_volume_scaling(quivers, n_max=30) -> CheckResult:
+def check_volume_scaling(points, n_max=30) -> CheckResult:
     """exp(mass growth at log lambda) matches the volume estimator on
     fractional Calabi-Yau points."""
     worst = 0.0
-    for name in quivers:
-        q = parse_quiver(name)
-        if classify_dynkin(q) is None:
-            continue
-        sigma = gepner_construct(q)
+    for _, q, _, sigma in points:
         for lam in (0.5, 2.0, 8.0):
             mg = mass_growth(sigma, [math.log(lam)], n_max)
             v1 = math.exp(mg.rates[0])
@@ -404,14 +370,10 @@ def check_volume_scaling(quivers, n_max=30) -> CheckResult:
     )
 
 
-def check_action_composition(quivers, seed) -> CheckResult:
+def check_action_composition(points, seed) -> CheckResult:
     """Rotation actions compose additively; Serre commutes with rotations."""
     worst = 0.0
-    for name in quivers:
-        q = parse_quiver(name)
-        if classify_dynkin(q) is None:
-            continue
-        sigma = gepner_construct(q)
+    for name, _, _, sigma in points:
         gen = SplitMix64(fold_seed("action-laws", seed, name))
         for _ in range(10):
             mu = gen.next_float() - 0.5
@@ -439,16 +401,12 @@ def _sigma_distance(a, b) -> float:
     return max(d, max(abs(amap[k] - bmap[k]) for k in amap))
 
 
-def check_heart_window_integrity(quivers, samples, seed) -> CheckResult:
+def check_heart_window_integrity(points, samples, seed) -> CheckResult:
     """Record phases stay in (0, 1] and the record count is preserved under
     random rotations."""
     bad = 0
     total = 0
-    for name in quivers:
-        q = parse_quiver(name)
-        if classify_dynkin(q) is None:
-            continue
-        sigma = gepner_construct(q)
+    for name, _, _, sigma in points:
         count = len(sigma.records)
         gen = SplitMix64(fold_seed("heart-window", seed, name))
         cur = sigma
@@ -509,14 +467,10 @@ def check_curve_shift_sup() -> CheckResult:
     )
 
 
-def check_sdim_window(quivers, n_max=30) -> CheckResult:
+def check_sdim_window(dynkin, n_max=30) -> CheckResult:
     """Windowed Serre-dimension estimates bracket the exact Dynkin value."""
     worst = math.inf
-    for name in quivers:
-        q = parse_quiver(name)
-        dyn = classify_dynkin(q)
-        if dyn is None:
-            continue
+    for _, q, _ in dynkin:
         sd = sdim_estimate(q, n_max)
         exact = float(sd.exact)
         worst = min(
@@ -532,23 +486,30 @@ def check_sdim_window(quivers, n_max=30) -> CheckResult:
 
 
 def run_all(quivers=DEFAULT_QUIVERS, samples: int = 50, seed: int = 2026) -> VerifySummary:
-    quivers = tuple(quivers)
+    """Every check over the named quivers.  All names are parsed, then all
+    classified, then each Dynkin quiver's Gepner point is built once, so a
+    ParseError comes before a DisconnectedQuiver and both before a
+    HeartMismatch, whatever the order of the names."""
+    parsed = [(name, parse_quiver(name)) for name in quivers]
+    classes = [(name, q, classify_dynkin(q)) for name, q in parsed]
+    dynkin = [entry for entry in classes if entry[2] is not None]
+    points = [(name, q, dyn, gepner_construct(q)) for name, q, dyn in dynkin]
     results = [
-        check_euler_form_random_agreement(quivers, seed),
-        check_coxeter_tau_action(quivers),
-        check_serre_duality_modules(quivers),
-        check_dynkin_periodicity(quivers),
-        check_poincare_serre_duality(quivers, seed),
-        check_sdim_window(quivers),
-        check_fundamental_inequality(quivers, samples, seed),
-        check_gepner_points(quivers, samples, seed),
-        check_all_semistable_small_gldim(quivers),
-        check_exceptional_collections(quivers),
-        check_serre_image_phase_window(quivers),
-        check_mass_growth_vs_entropy(quivers),
-        check_volume_scaling(quivers),
-        check_action_composition(quivers, seed),
-        check_heart_window_integrity(quivers, samples, seed),
+        check_euler_form_random_agreement(parsed, seed),
+        check_coxeter_tau_action(dynkin),
+        check_serre_duality_modules(dynkin),
+        check_dynkin_periodicity(dynkin),
+        check_poincare_serre_duality(dynkin, seed),
+        check_sdim_window(dynkin),
+        check_fundamental_inequality(dynkin, samples, seed),
+        check_gepner_points(points, samples, seed),
+        check_all_semistable_small_gldim(points),
+        check_exceptional_collections(points),
+        check_serre_image_phase_window(points),
+        check_mass_growth_vs_entropy(points),
+        check_volume_scaling(points),
+        check_action_composition(points, seed),
+        check_heart_window_integrity(points, samples, seed),
         check_curve_bounds(),
         check_curve_shift_sup(),
     ]

@@ -285,7 +285,7 @@ def test_exceptional_collection_extraction():
                 else:
                     assert pc == {}, "%s has backward maps (%d,%d)" % (name, i, j)
         rows = [
-            [Fraction(((-1) ** k) * d) for d in cat.entry(ident).dim_vector]
+            [Fraction(((-1) ** k) * d) for d in cat.entries[ident].dim_vector]
             for ident, k in coll
         ]
         assert abs(_fraction_det(rows)) == 1, "%s K-classes not unimodular" % name

@@ -369,6 +369,16 @@ def _modules_loaded(tmp_path, watched, argvs):
     return report["steps"], report["runs"]
 
 
+def test_every_exported_name_resolves():
+    import sdlab
+
+    missing = [name for name in sdlab.__all__ if not hasattr(sdlab, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from sdlab import *", namespace)
+    assert set(sdlab.__all__) <= set(namespace)
+
+
 def test_runtime_never_imports_the_exact_oracle(tmp_path):
     # IndecCatalog.mono is the only runtime path into sdlab.reps, and no
     # monomorphism search runs at a Gepner point

@@ -25,7 +25,6 @@ def test_generator_is_sum_of_projectives():
     assert g.summands == ((0, 0), (1, 0))
     assert not g.is_zero()
     assert g.total_summands() == 2
-    assert g.to_json() == [[0, 0], [1, 0]]
 
 
 def test_serre_sends_projectives_to_injectives():

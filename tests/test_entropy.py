@@ -14,7 +14,6 @@ from sdlab import (
     sdim_estimate,
     volume,
 )
-from sdlab.entropy import profile_csv
 
 A2 = parse_quiver("A2")
 K2 = parse_quiver("K2")
@@ -29,9 +28,6 @@ def test_series_levels_frozen_for_a2():
     assert dict(s.levels[3]) == {-1: 3}
     assert s.m_minus[:7] == (0, 0, 1, 1, 1, 2, 2)
     assert s.m_plus[:7] == (0, 0, 0, 1, 1, 1, 2)
-    assert s.total_dim(2) == 2
-    assert s.csv().splitlines()[0] == "n,m,dim"
-    assert "2,-1,1" in s.csv()
 
 
 def test_series_is_cached():
@@ -122,10 +118,3 @@ def test_profile_grid_guards():
         entropy_profile(A2, ())
     with pytest.raises(ConfigError):
         entropy_profile(A2, (0.0, 1.0))
-
-
-def test_profile_csv_shape():
-    text = profile_csv([0.0, 1.0], [0.0, 1.0 / 3.0])
-    lines = text.splitlines()
-    assert lines[0] == "t,h_t"
-    assert len(lines) == 3
