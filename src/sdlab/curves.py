@@ -95,6 +95,7 @@ def shift_gap_grid(g: int, H: float, x_grid):
     """1 + (arccot((x - (2g-2))/H) - arccot(x/H)) / pi over a grid of real
     twist shifts x, as a numpy array; its max approaches the closed-form
     upper bound."""
+    CurveStability(g, 0.0, H)  # raises on a negative genus or H <= 0
     import numpy as np
 
     xs = np.asarray(x_grid, dtype=float)
@@ -112,6 +113,8 @@ def genus0_pair_sup(cs: CurveStability, a_max: int = 200) -> float:
     iff b <= a - 2 (Serre duality with omega = O(-2))."""
     if cs.genus != 0:
         raise ConfigError("genus 0 oracle called with genus %d" % cs.genus)
+    if a_max < 0:
+        raise ConfigError("a_max must be nonnegative")
     import numpy as np
 
     a = np.arange(-a_max, a_max + 1, dtype=float)
@@ -119,17 +122,32 @@ def genus0_pair_sup(cs: CurveStability, a_max: int = 200) -> float:
     prefmin = np.minimum.accumulate(phases)
     hom_sup = float(np.max(phases - prefmin))
     prefmax = np.maximum.accumulate(phases)
-    ext_sup = 1.0 + float(np.max(prefmax[:-2] - phases[2:]))
+    ext_sup = 1.0 + float(np.max(prefmax[:-2] - phases[2:], initial=-np.inf))
     return max(hom_sup, ext_sup)
 
 
 def genus1_pair_sup(cs: CurveStability, r_max: int = 50, d_max: int = 50) -> float:
-    """Sup of phase gaps over stable classes on an elliptic curve with
-    bounded rank and degree.  Hom((r1,d1),(r2,d2)) is nonzero iff the slope
-    strictly increases, i.e. r1 d2 - r2 d1 > 0; the Calabi-Yau Ext^1 pairs
-    mirror the Hom pairs and are omitted."""
+    """Sup of phase gaps phi(F) - phi(E) over the Hom pairs among classes on
+    an elliptic curve with rank 0..r_max and |degree| <= d_max (torsion of
+    degree 1..d_max), or 0.0 when there is no such pair.
+
+    Hom((r1,d1),(r2,d2)) is nonzero iff r1 d2 - r2 d1 > 0, i.e. iff the
+    slope d/r strictly increases, torsion having slope +inf.  So the classes
+    are sorted by slope and each slope group's largest phase is paired with
+    the smallest phase of all strictly smaller slopes, a prefix minimum over
+    the groups.  Rounded subtraction is monotone, so this is the same float
+    as the maximum over all pairs.  The Calabi-Yau Ext^1 pairs mirror the Hom
+    pairs and are not scanned."""
     if cs.genus != 1:
         raise ConfigError("genus 1 oracle called with genus %d" % cs.genus)
+    if r_max < 0 or d_max < 0:
+        raise ConfigError("r_max and d_max must be nonnegative")
+    # Distinct slopes differ by at least 1/r_max^2 and have |d/r| <= d_max,
+    # where the spacing of floats is at most d_max 2^-52; below this bound
+    # the correctly rounded quotients d/r keep every strict order, and equal
+    # slopes always give equal quotients.
+    if r_max * r_max * d_max >= 2 ** 52:
+        raise ConfigError("r_max^2 d_max must be below 2^52")
     import numpy as np
 
     rs, ds = [], []
@@ -143,14 +161,13 @@ def genus1_pair_sup(cs: CurveStability, r_max: int = 50, d_max: int = 50) -> flo
     r_arr = np.array(rs, dtype=float)
     d_arr = np.array(ds, dtype=float)
     phases = np.arctan2(r_arr * cs.H, r_arr * cs.beta - d_arr) / np.pi
-    best = 0.0
-    chunk = 512
-    for lo in range(0, len(r_arr), chunk):
-        hi = min(lo + chunk, len(r_arr))
-        cross = np.outer(r_arr[lo:hi], d_arr) - np.outer(d_arr[lo:hi], r_arr)
-        gaps = phases[None, :] - phases[lo:hi, None]
-        gaps[cross <= 0] = -np.inf
-        m = float(np.max(gaps))
-        if m > best:
-            best = m
-    return best
+    slopes = np.full(len(rs), np.inf)
+    np.divide(d_arr, r_arr, out=slopes, where=r_arr > 0)
+    order = np.argsort(slopes)
+    slopes, phases = slopes[order], phases[order]
+    starts = np.flatnonzero(np.r_[True, slopes[1:] != slopes[:-1]])
+    if len(starts) < 2:
+        return 0.0
+    below = np.minimum.accumulate(np.minimum.reduceat(phases, starts))[:-1]
+    gaps = np.maximum.reduceat(phases, starts)[1:] - below
+    return max(0.0, float(np.max(gaps)))

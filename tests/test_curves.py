@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdlab import (
     ConfigError,
@@ -138,6 +141,86 @@ def test_genus_one_pair_supremum():
     assert 0.99 < val < 1.0
     with pytest.raises(ConfigError):
         genus1_pair_sup(G2)
+
+
+def test_genus_zero_pair_supremum_edges():
+    # one line bundle: the only pair is Hom(O, O), with gap 0
+    assert genus0_pair_sup(CurveStability(0, 0.0, 1.0), a_max=0) == 0.0
+    with pytest.raises(ConfigError):
+        genus0_pair_sup(CurveStability(0, 0.0, 1.0), a_max=-1)
+
+
+def test_genus_one_pair_supremum_edges():
+    cs = CurveStability(1, 0.0, 1.0)
+    assert genus1_pair_sup(cs, r_max=0, d_max=5) == 0.0  # torsion only
+    assert genus1_pair_sup(cs, r_max=5, d_max=0) == 0.0  # one slope
+    assert genus1_pair_sup(cs, r_max=0, d_max=0) == 0.0  # no classes
+    # (-1, 5), (5, -1): negative bounds; 2^18, 2^16: float slopes could merge
+    for r_max, d_max in ((-1, 5), (5, -1), (2 ** 18, 2 ** 16)):
+        with pytest.raises(ConfigError):
+            genus1_pair_sup(cs, r_max=r_max, d_max=d_max)
+
+
+def test_shift_gap_grid_validates_its_curve():
+    with pytest.raises(ConfigError):
+        shift_gap_grid(2, 0.0, [0.0, 1.0])
+    with pytest.raises(ConfigError):
+        shift_gap_grid(2, -1.0, [0.0, 1.0])
+    with pytest.raises(GenusTooSmall):
+        shift_gap_grid(-1, 1.0, [0.0, 1.0])
+
+
+def _brute_genus1_pair_sup(cs, r_max=50, d_max=50):
+    """Reference for genus1_pair_sup: every class pair with r1 d2 - r2 d1 > 0,
+    scanned in row chunks of the full N x N gap matrix."""
+    rs, ds = [], []
+    for d in range(1, d_max + 1):  # torsion classes
+        rs.append(0)
+        ds.append(d)
+    for r in range(1, r_max + 1):
+        for d in range(-d_max, d_max + 1):
+            rs.append(r)
+            ds.append(d)
+    r_arr = np.array(rs, dtype=float)
+    d_arr = np.array(ds, dtype=float)
+    phases = np.arctan2(r_arr * cs.H, r_arr * cs.beta - d_arr) / np.pi
+    best = 0.0
+    chunk = 512
+    for lo in range(0, len(r_arr), chunk):
+        hi = min(lo + chunk, len(r_arr))
+        cross = np.outer(r_arr[lo:hi], d_arr) - np.outer(d_arr[lo:hi], r_arr)
+        gaps = phases[None, :] - phases[lo:hi, None]
+        gaps[cross <= 0] = -np.inf
+        m = float(np.max(gaps))
+        if m > best:
+            best = m
+    return best
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    beta=st.floats(-60.0, 60.0) | st.integers(-60, 60).map(float),
+    log_h=st.floats(-3.0, 3.0),
+    r_max=st.integers(0, 30),
+    d_max=st.integers(0, 30),
+)
+def test_genus_one_slope_scan_matches_pair_scan(beta, log_h, r_max, d_max):
+    cs = CurveStability(1, beta, 10.0 ** log_h)
+    assert genus1_pair_sup(cs, r_max, d_max) == _brute_genus1_pair_sup(cs, r_max, d_max)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 4.0])
+def test_genus_one_slope_scan_matches_pair_scan_at_default_bounds(h):
+    cs = CurveStability(1, 0.0, h)
+    assert genus1_pair_sup(cs) == _brute_genus1_pair_sup(cs)
+
+
+def test_genus_one_slope_scan_scales():
+    # ~180k classes: 3e10 pairs for the brute-force scan
+    t0 = time.perf_counter()
+    val = genus1_pair_sup(CurveStability(1, 0.0, 1.0), r_max=300, d_max=300)
+    assert time.perf_counter() - t0 < 5.0
+    assert genus1_pair_sup(CurveStability(1, 0.0, 1.0)) < val < 1.0
 
 
 def test_beta_shift_charge_identity():
