@@ -6,8 +6,8 @@ Coxeter matrix Phi: S P_i = I_i and S M = tau M[1] otherwise (Happel 1988).
 So entries hold dimension vectors only.  The projectives and injectives are
 the rows and columns of the path-count matrix P = E^{-1}, and each Serre
 step is read off the sign of the integer vector A^{+-1} dim M.  The hom/ext
-tables come from the Euler form.  Only `IndecCatalog.mono` calls into the
-exact representations of `reps`.
+tables come from the Euler form, so nothing here calls into the exact
+representations of `reps`.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class IndecCatalog:
         self._steps: dict[tuple[int, int], tuple[int, int]] = {}
         self._hom: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int], int] = {}
-        self._mono: dict[tuple[int, int], bool] = {}
         for dim, proj_vertex, inj_vertex in records or self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
         self._link()
@@ -196,22 +195,6 @@ class IndecCatalog:
         if (a, b) not in self._ext:
             self._fill(a, b)
         return self._ext[a, b]
-
-    def mono(self, a: int, b: int) -> bool:
-        """Does a monomorphism entry_a -> entry_b exist?  Without a nonzero
-        map there is none, so the exact search runs only when Hom is nonzero.
-        That search is the runtime's one call into the exact oracle `reps`."""
-        key = (a, b)
-        if key not in self._mono:
-            found = False
-            if self.hom_dim(a, b) > 0:  # raises for a virtual source
-                from . import reps  # exists_mono is looked up when it runs
-
-                self._require_module(b)
-                knitted = reps.catalog_reps(self)
-                found = reps.exists_mono(knitted[a], knitted[b])
-            self._mono[key] = found
-        return self._mono[key]
 
     def require_complete(self) -> None:
         if not self.is_complete:

@@ -255,6 +255,8 @@ def _cmd_stab_restrict(ns: argparse.Namespace) -> dict:
 
 
 def _cmd_stab_mass(ns: argparse.Namespace) -> dict:
+    if ns.t is not None and ns.t_grid is not None:
+        raise ConfigError("give --t or --t-grid, not both")
     q = parse_quiver(ns.quiver)
     sigma = _sigma_from_args(ns, q)
     grid = ns.t_grid if ns.t_grid is not None else (ns.t if ns.t is not None else 0.0,)
@@ -276,6 +278,8 @@ def _cmd_stab_mass(ns: argparse.Namespace) -> dict:
 
 
 def _cmd_curve(ns: argparse.Namespace) -> dict:
+    if ns.big_h is not None and ns.h_grid is not None:
+        raise ConfigError("give --H or --h-grid, not both")
     hs = ns.h_grid if ns.h_grid is not None else ((ns.big_h,) if ns.big_h is not None else None)
     if not hs:
         raise ConfigError("curve needs --H or --h-grid")
@@ -430,7 +434,6 @@ def _charges(text: str) -> tuple:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (64-bit)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv", "md"), default="json")
     p.add_argument("--out", default=None, help="also write the report to this path")
 
@@ -502,6 +505,8 @@ def build_parser() -> _Parser:
             sp.add_argument("--t", type=_finite, default=None)
             sp.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
             sp.add_argument("--nmax", dest="n_max", type=int, default=30)
+        if needs_sigma or name == "sample":  # read by `sample` and the --sample source
+            sp.add_argument("--seed", type=int, default=0, help="PRNG seed (64-bit)")
         _add_common(sp)
 
     p = sub.add_parser("gepner", help="alias for stab gepner")
@@ -524,6 +529,7 @@ def build_parser() -> _Parser:
     p.add_argument("--quivers", type=lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
                    default=ver.DEFAULT_QUIVERS)
     p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (64-bit)")
     _add_common(p)
 
     return parser

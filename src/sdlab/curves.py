@@ -36,6 +36,8 @@ class CurveStability:
     def __post_init__(self):
         if self.genus < 0:
             raise GenusTooSmall("genus must be a nonnegative integer")
+        if not (math.isfinite(self.beta) and math.isfinite(self.H)):
+            raise ConfigError("beta and H must be finite")
         if self.H <= 0:
             raise ConfigError("H must be positive")
 

@@ -3,9 +3,9 @@
 Hom spaces are computed by solving the commuting-square linear system, the
 AR translate by sink/source reflection-functor sweeps, and the catalog's
 modules by knitting the tau-inverse orbits of the projectives.  The runtime
-catalog (`catalog.py`) works with dimension vectors only; its monomorphism
-test is the one runtime caller of this module, and the tests and checks use
-the rest as an oracle.  Everything here is exact; no floats.
+catalog (`catalog.py`) works with dimension vectors only and never calls
+this module; the tests and two `verify` checks use it as an oracle.
+Everything here is exact; no floats.
 """
 
 from __future__ import annotations

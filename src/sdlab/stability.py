@@ -87,12 +87,11 @@ def make_stability(q: Quiver, z_simples) -> StabilityCondition:
     """Stability condition with heart mod(kQ) from charges on the simples.
 
     Every charge must be finite and lie in the upper half plane extended by
-    the negative real axis.  Semistability of an indecomposable M is decided
-    against its indecomposable subobjects: no submodule may carry a larger
-    phase.  Phases are compared first, so the dimension-vector check and the
-    monomorphism search run only for a candidate of strictly larger phase;
-    at the Gepner points of the Dynkin presets no such candidate has a
-    nonzero Hom, so the search never runs there.
+    the negative real axis.  Semistability follows the Hom criterion
+    (Bridgeland 2007; King 1994), scanning by decreasing phase: M is
+    semistable iff no semistable N of strictly larger phase, and dimension
+    vector at most M's, has Hom(N, M) != 0.  Such a map's image destabilizes
+    M; an unstable M receives one from a summand of its first HN factor.
     """
     z_simples = tuple(complex(z) for z in z_simples)
     if len(z_simples) != q.n:
@@ -112,23 +111,17 @@ def make_stability(q: Quiver, z_simples) -> StabilityCondition:
     for e in cat.entries:
         z = _charge(z_simples, e.dim_vector)
         phases[e.ident] = math.atan2(z.imag, z.real) / math.pi
-    triples = []
-    for e in cat.entries:
+    kept = []
+    for e in sorted(cat.entries, key=lambda e: -phases[e.ident]):
         p = phases[e.ident]
-        stable = True
-        for f in cat.entries:
-            if f.ident == e.ident:
-                continue
-            if (
-                phases[f.ident] > p + PHASE_TOL
-                and all(df <= de for df, de in zip(f.dim_vector, e.dim_vector))
-                and cat.mono(f.ident, e.ident)
-            ):
-                stable = False
-                break
-        if stable:
-            triples.append((e.ident, 0, p))
-    return _assemble(q, cat, z_simples, triples)
+        if not any(
+            phases[f.ident] > p + PHASE_TOL
+            and all(df <= de for df, de in zip(f.dim_vector, e.dim_vector))
+            and cat.hom_dim(f.ident, e.ident) > 0
+            for f in kept
+        ):
+            kept.append(e)
+    return _assemble(q, cat, z_simples, [(e.ident, 0, phases[e.ident]) for e in kept])
 
 
 def gldim(sigma: StabilityCondition) -> float:

@@ -40,6 +40,7 @@ from sdlab import (
     sdim_estimate,
 )
 from sdlab.prng import SplitMix64, fold_seed
+from sdlab.reps import catalog_reps, exists_mono
 
 TOL = 1e-9
 
@@ -225,6 +226,7 @@ def test_small_gldim_semistability():
     for name in ("A2", "A3", "D4"):
         q = parse_quiver(name)
         cat = catalog_for(q)
+        reps = catalog_reps(cat)
         pool = [
             gepner_construct(q),
             act(gepner_construct(q), 0.1),
@@ -249,7 +251,7 @@ def test_small_gldim_semistability():
             module_phase = {r.ident: r.phase - r.shift for r in sigma.records}
             for r in sigma.records:
                 for s in sigma.records:
-                    if s.ident != r.ident and cat.mono(s.ident, r.ident):
+                    if s.ident != r.ident and exists_mono(reps[s.ident], reps[r.ident]):
                         assert module_phase[s.ident] < module_phase[r.ident], (
                             "subobject %d not strictly below %d" % (s.ident, r.ident)
                         )

@@ -296,6 +296,41 @@ def test_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "5", "--t-grid=0,1"],
+         "give --t or --t-grid, not both"),
+        (["curve", "--genus", "2", "--H", "7", "--h-grid", "1"],
+         "give --H or --h-grid, not both"),
+    ],
+    ids=["mass", "curve"],
+)
+def test_single_value_and_grid_conflict_exits_two(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver", "--quiver", "A2"],
+        ["entropy", "--quiver", "A2"],
+        ["sdim", "--quiver", "A2"],
+        ["volume", "--quiver", "A2", "--lam", "1"],
+        ["stab", "gepner", "--quiver", "A2"],
+        ["gepner", "--quiver", "A2"],
+        ["curve", "--genus", "2", "--H", "1"],
+    ],
+    ids=["quiver", "entropy", "sdim", "volume", "stab-gepner", "gepner", "curve"],
+)
+def test_seed_is_rejected_where_nothing_reads_it(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--seed", "3"])
+    assert code == 2 and out == ""
+    assert _error_type(err) == "ConfigError"
+
+
 def test_curve_zero_h_is_not_a_missing_h(capsys):
     code, out, err = _run(capsys, ["curve", "--genus", "2", "--H", "0"])
     assert code == 2 and out == ""
@@ -380,16 +415,23 @@ def test_every_exported_name_resolves():
 
 
 def test_runtime_never_imports_the_exact_oracle(tmp_path):
-    # IndecCatalog.mono is the only runtime path into sdlab.reps, and no
-    # monomorphism search runs at a Gepner point
+    # semistability is decided by the Hom criterion on the integer tables,
+    # so only `verify` reaches sdlab.reps
     steps, runs = _modules_loaded(
         tmp_path, ("sdlab.reps", "sdlab.exactmat"),
-        [["stab", "gepner", "--quiver", "E8", "--check"]],
+        [
+            ["stab", "gepner", "--quiver", "E8", "--check"],
+            ["stab", "sample", "--quiver", "E8", "--seed", "3"],
+            ["stab", "gldim", "--quiver", "E8", "--sample", "--seed", "5"],
+            ["stab", "fec", "--quiver", "E6", "--sample", "--seed", "11"],
+        ],
     )
+    assert len(steps) == 6
     assert steps == dict.fromkeys(steps, [])
-    [(code, out)] = runs
-    assert code == 0
-    assert json.loads(out)["verdict"] is True
+    # the E6 sample has gldim above 1, so `fec` ends in GldimTooLarge after
+    # the records are built
+    assert [code for code, _ in runs] == [0, 0, 0, 3]
+    assert json.loads(runs[0][1])["verdict"] is True
 
 
 # `cli-cold` commands that need no eigenvector, line fit or curve oracle;

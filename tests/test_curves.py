@@ -36,6 +36,20 @@ def test_class_and_parameter_guards():
         CurveStability(2, 0.0, -3.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: curve_gldim(CurveStability(2, 0.0, math.nan)),
+        lambda: curve_gldim(CurveStability(2, math.inf, 1.0)),
+        lambda: genus1_pair_sup(CurveStability(1, 0.0, math.nan)),
+    ],
+    ids=["nan-H", "inf-beta", "genus1-nan-H"],
+)
+def test_nonfinite_curve_parameters_raise(call):
+    with pytest.raises(ConfigError, match="must be finite"):
+        call()
+
+
 def test_charge_phase_window():
     z, phase = curve_charge(G2, NumericalClass(1, 0))
     assert z == 1j and abs(phase - 0.5) < 1e-15

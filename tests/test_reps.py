@@ -9,7 +9,6 @@ from sdlab import (
     NotIndecomposable,
     QuiverMismatch,
     catalog_for,
-    euler_form,
     load_catalog,
     parse_quiver,
     positive_roots,
@@ -175,25 +174,6 @@ def test_catalog_tables_need_no_exact_solve(monkeypatch):
             assert cat.hom_dim(a, b) >= 0
             assert cat.ext_dim(a, b) >= 0
             assert cat.hom_dim(a, b) == 0 or cat.ext_dim(a, b) == 0
-
-
-def test_mono_search_runs_only_where_hom_is_nonzero(monkeypatch):
-    cat = IndecCatalog(D4)
-    reps = catalog_reps(cat)
-    calls = []
-    exact = sdlab.reps.exists_mono
-
-    def recording(n, m):
-        calls.append((n.dim_vector, m.dim_vector))
-        return exact(n, m)
-
-    monkeypatch.setattr(sdlab.reps, "exists_mono", recording)
-    for a in range(cat.size()):
-        for b in range(cat.size()):
-            assert cat.mono(a, b) == exact(reps[a], reps[b])
-    assert calls
-    for dn, dm in calls:
-        assert euler_form(D4, dn, dm) > 0
 
 
 def test_catalog_json_roundtrip(tmp_path):
