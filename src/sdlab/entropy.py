@@ -1,8 +1,11 @@
 """Categorical entropy and Serre dimension estimators.
 
 The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
-generator G.  Entropy at parameter t is the growth rate of
-f_n(t) = sum_m dim * exp(-m t); the estimators fit a + b/n over a
+generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
+level n is the total dimension of each summand N[b] of S^n G, added at
+m = -b: one walk of the projectives' Serre orbits gives every level, and no
+pairwise hom/ext table is filled.  Entropy at parameter t is the growth rate
+of f_n(t) = sum_m dim * exp(-m t); the estimators fit a + b/n over a
 deterministic subsequence and report the extrapolated intercept.
 """
 
@@ -13,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derived import hom_poincare, require_nonzero, serre_apply, standard_generator
+from .catalog import catalog_for
+from .derived import require_nonzero, serre_orbit, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
 from .quivers import Quiver, classify_dynkin
 
@@ -48,24 +52,38 @@ class EntropySeries:
 def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
+    if budget < 1:
+        raise ConfigError("budget must be at least 1")
+    cat = catalog_for(q)
     g = standard_generator(q)
     require_nonzero(g, "generator")
+    # log_f sums a level in dict order, so keys enter in the order that
+    # hom_poincare(G, S^n G) gives them: each summand N counts from the first
+    # projective of G that maps to it, and the stable sort keeps the summand
+    # order among ties.
+    tops = [cat.entries[i].proj_vertex - 1 for i, _ in g.summands]
+    rank: dict[int, int] = {}
+
+    def first_hom(pair) -> int:
+        ident = pair[0]
+        if ident not in rank:
+            dim = cat.entries[ident].dim_vector
+            rank[ident] = next(j for j, v in enumerate(tops) if dim[v])
+        return rank[ident]
+
     levels, mins, maxs = [], [], []
-    x = g
-    for n in range(n_max + 1):
-        lev = hom_poincare(g, x)
-        if not lev:
-            raise AssertionError("generator misses a power of its Serre orbit")
+    for n, pairs in enumerate(serre_orbit(g, n_max)):
+        lev: dict[int, int] = {}
+        for ident, b in sorted(pairs, key=first_hom):
+            lev[-b] = lev.get(-b, 0) + sum(cat.entries[ident].dim_vector)
         total = sum(lev.values())
         if total > budget:
             raise BudgetExceeded(
                 "hom dimensions reached %d at n=%d (budget %d)" % (total, n, budget)
             )
-        levels.append(dict(lev))
+        levels.append(lev)
         mins.append(-min(lev))
         maxs.append(-max(lev))
-        if n < n_max:
-            x = serre_apply(x, 1)
     return EntropySeries(q, n_max, tuple(levels), tuple(mins), tuple(maxs))
 
 

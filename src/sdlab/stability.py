@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import IndecCatalog, catalog_for
-from .derived import DerivedObject, serre_apply, standard_generator
+from .derived import DerivedObject, serre_orbit, standard_generator
 from .entropy import _fit_intercept, _log_sum_exp, _sample_points
 from .errors import (
     ConfigError,
@@ -177,12 +177,10 @@ def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowt
         raise ConfigError("mass growth needs a nonempty t grid")
     q = sigma.quiver
     by_ident = {r.ident: r for r in sigma.records}
-    g = standard_generator(q)
-    x = g
     level_data = []  # per n: list of (|z|, object phase)
-    for n in range(n_max + 1):
+    for n, pairs in enumerate(serre_orbit(standard_generator(q), n_max)):
         data = []
-        for ident, k in x.summands:
+        for ident, k in pairs:
             r = by_ident.get(ident)
             if r is None:
                 raise NotAllSemistable(
@@ -190,8 +188,6 @@ def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowt
                 )
             data.append((abs(r.z), r.phase + (k - r.shift)))
         level_data.append(data)
-        if n < n_max:
-            x = serre_apply(x, 1)
     ns = _sample_points(q, n_max)
     rates = []
     for t in ts:

@@ -16,6 +16,7 @@ from .catalog import catalog_for
 from .curves import CurveStability, curve_gldim, curve_gldim_bounds, shift_gap_grid
 from .derived import DerivedObject, hom_poincare, serre_apply, standard_generator
 from .entropy import entropy_estimate, sdim_estimate, volume
+from .errors import ConfigError
 from .prng import SplitMix64, fold_seed
 from .quivers import classify_dynkin, coxeter_matrix, euler_form, parse_quiver
 from .stability import (
@@ -486,10 +487,13 @@ def check_sdim_window(dynkin, n_max=30) -> CheckResult:
 
 
 def run_all(quivers=DEFAULT_QUIVERS, samples: int = 50, seed: int = 2026) -> VerifySummary:
-    """Every check over the named quivers.  All names are parsed, then all
-    classified, then each Dynkin quiver's Gepner point is built once, so a
-    ParseError comes before a DisconnectedQuiver and both before a
-    HeartMismatch, whatever the order of the names."""
+    """Every check over the named quivers.  A sample count below 1 is a
+    ConfigError, since the sampled checks would then pass on no sample.  All
+    names are parsed, then all classified, then each Dynkin quiver's Gepner
+    point is built once, so a ParseError comes before a DisconnectedQuiver
+    and both before a HeartMismatch, whatever the order of the names."""
+    if samples < 1:
+        raise ConfigError("samples must be at least 1")
     parsed = [(name, parse_quiver(name)) for name in quivers]
     classes = [(name, q, classify_dynkin(q)) for name, q in parsed]
     dynkin = [entry for entry in classes if entry[2] is not None]

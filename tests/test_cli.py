@@ -331,6 +331,24 @@ def test_seed_is_rejected_where_nothing_reads_it(capsys, argv):
     assert _error_type(err) == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--samples", "0", "--quivers", "A2"], "samples must be at least 1"),
+        (["verify", "--samples", "-1", "--quivers", "A2", "--format", "csv"],
+         "samples must be at least 1"),
+        (["sdim", "--quiver", "A2", "--budget", "0"], "budget must be at least 1"),
+        (["entropy", "--quiver", "A2", "--budget", "-1"], "budget must be at least 1"),
+    ],
+    ids=["samples-0", "samples-neg", "budget-0", "budget-neg"],
+)
+def test_nonpositive_count_exits_two(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _error_type(err) == "ConfigError"
+    assert json.loads(err)["error"]["message"] == message
+
+
 def test_curve_zero_h_is_not_a_missing_h(capsys):
     code, out, err = _run(capsys, ["curve", "--genus", "2", "--H", "0"])
     assert code == 2 and out == ""

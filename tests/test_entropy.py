@@ -3,15 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+import sdlab.catalog
 from sdlab import (
     BudgetExceeded,
     ConfigError,
     EmptyGrid,
+    IndecCatalog,
     entropy_estimate,
     entropy_profile,
     entropy_series,
+    gepner_construct,
+    hom_poincare,
+    mass_growth,
     parse_quiver,
     sdim_estimate,
+    serre_apply,
+    standard_generator,
     volume,
 )
 
@@ -72,10 +79,61 @@ def test_kronecker_tame_entropy_near_identity_slope():
 
 
 def test_budget_guard_fires_on_wild_quiver():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as err:
         entropy_series(K3, 30)
+    assert str(err.value) == "hom dimensions reached 1339571480 at n=11 (budget 1000000000)"
     with pytest.raises(BudgetExceeded):
         entropy_estimate(K3, 0.0, 30)
+
+
+def test_budget_below_one_is_a_config_error():
+    for budget in (0, -1):
+        with pytest.raises(ConfigError, match="budget must be at least 1"):
+            entropy_series(A2, 30, budget)
+    with pytest.raises(BudgetExceeded, match="reached 3 at n=0"):
+        entropy_series(A2, 30, 2)
+
+
+ORACLE_QUIVERS = (
+    "A4", "D6", "E8", "K2",
+    "vertices:3; arrows:1->2,2->3,1->3",
+    "vertices:5; arrows:2->1,3->1,4->1,5->1",
+    "vertices:4; arrows:1->2,2->3,3->4",
+)
+
+
+@pytest.mark.parametrize("text", ORACLE_QUIVERS)
+def test_series_levels_match_pairwise_hom_poincare(text):
+    # The pairwise path is the reference, key order included: log_f sums
+    # its terms in dict order, so the order fixes the float bits.
+    q = parse_quiver(text)
+    series = entropy_series(q, 60)
+    g = standard_generator(q)
+    for n in range(61):
+        expect = hom_poincare(g, serre_apply(g, n))
+        assert list(series.levels[n].items()) == list(expect.items())
+        assert series.m_minus[n] == -min(expect)
+        assert series.m_plus[n] == -max(expect)
+
+
+def test_entropy_chain_reads_no_pairwise_table(monkeypatch):
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    entropy_series.cache_clear()
+    sigma = gepner_construct(parse_quiver("E6"))
+
+    def no_table(self, a, b):
+        raise AssertionError("pairwise hom/ext lookup")
+
+    monkeypatch.setattr(IndecCatalog, "hom_dim", no_table)
+    monkeypatch.setattr(IndecCatalog, "ext_dim", no_table)
+    for text in ("E8", "K2", "vertices:5; arrows:2->1,3->1,4->1,5->1"):
+        q = parse_quiver(text)
+        entropy_series(q, 60)
+        entropy_estimate(q, 0.5, 60)
+        entropy_profile(q, (-1.0, 0.0, 1.0), 60)
+        sdim_estimate(q, 60)
+        volume(q, 2.0, 60)
+    mass_growth(sigma, (-1.0, 0.0, 1.0), 60)
 
 
 def test_sdim_exact_and_window_on_a2():
