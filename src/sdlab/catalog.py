@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CatalogIncomplete, CatalogMiss
 from .quivers import (
@@ -31,8 +31,8 @@ from .quivers import (
 CATALOG_FORMAT_VERSION = 2
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(namedtuple("CatalogEntry", "ident dim_vector proj_vertex inj_vertex")):
+    __slots__ = ()
     ident: int
     dim_vector: tuple[int, ...]
     proj_vertex: int | None
@@ -91,10 +91,9 @@ class IndecCatalog:
         if dim in self.by_dim:
             ident = self.by_dim[dim]
             e = self.entries[ident]
-            if proj_vertex is not None:
-                e.proj_vertex = proj_vertex
-            if inj_vertex is not None:
-                e.inj_vertex = inj_vertex
+            # vertices are 1-based, so a given flag is never falsy
+            self.entries[ident] = e._replace(proj_vertex=proj_vertex or e.proj_vertex,
+                                             inj_vertex=inj_vertex or e.inj_vertex)
             return ident
         ident = len(self.entries)
         self.entries.append(CatalogEntry(ident, dim, proj_vertex, inj_vertex))

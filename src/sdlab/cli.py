@@ -41,6 +41,8 @@ def _sigma_from_args(ns: argparse.Namespace, q: Quiver) -> st.StabilityCondition
         raise ConfigError(
             "choose exactly one stability source: --z, --gepner, --sample, or --sigma"
         )
+    if ns.seed is not None and not ns.use_sample:
+        raise ConfigError("--seed is read only with --sample")
     if ns.z is not None:
         return st.make_stability(q, ns.z)
     if ns.use_gepner:
@@ -62,7 +64,7 @@ def _sigma_from_args(ns: argparse.Namespace, q: Quiver) -> st.StabilityCondition
         if sigma.quiver != q:
             raise ConfigError("--sigma file is for a different quiver")
         return sigma
-    return st.sample_stability(q, ns.seed)
+    return st.sample_stability(q, ns.seed or 0)
 
 
 def _records_table(sigma: st.StabilityCondition) -> dict:
@@ -293,8 +295,6 @@ def _cmd_curve(ns: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> dict:
-    if not ns.quivers:
-        raise ConfigError("verify needs at least one quiver")
     summary = ver.run_all(quivers=ns.quivers, samples=ns.samples, seed=ns.seed)
     rows = [[r.name, "pass" if r.passed else "FAIL", r.margin, r.detail] for r in summary.results]
     return {
@@ -506,7 +506,8 @@ def build_parser() -> _Parser:
             sp.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
             sp.add_argument("--nmax", dest="n_max", type=int, default=30)
         if needs_sigma or name == "sample":  # read by `sample` and the --sample source
-            sp.add_argument("--seed", type=int, default=0, help="PRNG seed (64-bit)")
+            sp.add_argument("--seed", type=int, default=None if needs_sigma else 0,
+                            help="PRNG seed (64-bit)")
         _add_common(sp)
 
     p = sub.add_parser("gepner", help="alias for stab gepner")

@@ -12,34 +12,31 @@ from below and serve as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigError, EmptyGrid, GenusTooSmall, ZeroClass
 
 
-@dataclass(frozen=True)
-class NumericalClass:
-    r: int
-    d: int
+class NumericalClass(namedtuple("NumericalClass", "r d")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r == 0 and self.d == 0:
+    def __new__(cls, r: int, d: int):
+        if r == 0 and d == 0:
             raise ZeroClass("the zero numerical class has no charge")
+        return super().__new__(cls, r, d)
 
 
-@dataclass(frozen=True)
-class CurveStability:
-    genus: int
-    beta: float
-    H: float
+class CurveStability(namedtuple("CurveStability", "genus beta H")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __new__(cls, genus: int, beta: float, H: float):
+        if genus < 0:
             raise GenusTooSmall("genus must be a nonnegative integer")
-        if not (math.isfinite(self.beta) and math.isfinite(self.H)):
+        if not (math.isfinite(beta) and math.isfinite(H)):
             raise ConfigError("beta and H must be finite")
-        if self.H <= 0:
+        if H <= 0:
             raise ConfigError("H must be positive")
+        return super().__new__(cls, genus, beta, H)
 
 
 def arccot(x: float) -> float:

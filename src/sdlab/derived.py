@@ -9,15 +9,15 @@ pairwise hom/ext tables with degree bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .catalog import IndecCatalog, catalog_for
 from .errors import QuiverMismatch, ZeroObject
 from .quivers import Quiver
 
 
-@dataclass(frozen=True)
-class DerivedObject:
+class DerivedObject(namedtuple("DerivedObject", "quiver summands")):
+    __slots__ = ()
     quiver: Quiver
     summands: tuple[tuple[int, int], ...]  # (catalog id, homological shift)
 

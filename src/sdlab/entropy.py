@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import catalog_for
@@ -35,8 +35,8 @@ def _log_sum_exp(terms) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class EntropySeries:
+class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_plus")):
+    __slots__ = ()
     quiver: Quiver
     n_max: int
     levels: tuple  # levels[n] is a dict m -> dim Hom(G, S^n G[m])
@@ -122,15 +122,13 @@ def entropy_estimate(
     return _fit_intercept(ns, ys)
 
 
-@dataclass(frozen=True)
-class SerreDims:
-    upper: float
-    lower: float
-    exact: Fraction | None
+class SerreDims(namedtuple("SerreDims", "upper lower exact")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.upper < self.lower - 1e-12:
+    def __new__(cls, upper: float, lower: float, exact: Fraction | None):
+        if upper < lower - 1e-12:
             raise AssertionError("upper Serre dimension below lower")
+        return super().__new__(cls, upper, lower, exact)
 
 
 def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> SerreDims:
@@ -154,8 +152,8 @@ def volume(q: Quiver, lam: float, n_max: int = 30, budget: int = DEFAULT_BUDGET)
     return math.exp(entropy_estimate(q, math.log(lam), n_max, budget))
 
 
-@dataclass(frozen=True)
-class EntropyProfile:
+class EntropyProfile(namedtuple("EntropyProfile", "slope intercept residual c_hat")):
+    __slots__ = ()
     slope: float
     intercept: float
     residual: float

@@ -6,8 +6,9 @@ matrices and dimension vectors are 0-indexed internally.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from typing import Sequence
 
@@ -20,21 +21,21 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(namedtuple("Quiver", "n arrows")):
     """Finite acyclic quiver. arrows[(s, t)] are 1-based vertex indices."""
 
-    n: int
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, arrows: tuple[tuple[int, int], ...]):
+        if n < 1:
             raise ParseError("need at least one vertex")
-        for s, t in self.arrows:
-            if not (1 <= s <= self.n and 1 <= t <= self.n):
+        for s, t in arrows:
+            if not (1 <= s <= n and 1 <= t <= n):
                 raise ParseError("arrow endpoint out of range: %d->%d" % (s, t))
+        self = super().__new__(cls, n, arrows)
         if self.topological_order() is None:
             raise CyclicQuiver("arrow digraph has a directed cycle")
+        return self
 
     def topological_order(self) -> tuple[int, ...] | None:
         """Kahn's algorithm; None when cyclic.  Deterministic: smallest
@@ -89,18 +90,18 @@ class Quiver:
         return "vertices:%d; arrows:%s" % (self.n, arrows)
 
 
-@dataclass(frozen=True)
-class EulerData:
+class EulerData(namedtuple("EulerData", "euler coxeter serre_k_action")):
     """Euler matrix E (so <d,e> = d^T E e), the Coxeter matrix, and the
     K-class action of the Serre functor (= -coxeter)."""
 
+    __slots__ = ()
     euler: tuple[tuple[int, ...], ...]
     coxeter: tuple[tuple[int, ...], ...]
     serre_k_action: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class DynkinClass:
+class DynkinClass(namedtuple("DynkinClass", "series rank coxeter_number fcy_pair")):
+    __slots__ = ()
     series: str  # "A" | "D" | "E"
     rank: int
     coxeter_number: int
@@ -199,13 +200,13 @@ def tits_form(q: Quiver, d) -> int:
 
 
 def int_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    """Integer matrix times integer vector, with Python bignums."""
-    return tuple(sum(int(x) * int(y) for x, y in zip(row, v)) for row in a)
+    """Integer matrix times vector; entries must be Python ints, which never wrap."""
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     bt = list(zip(*b))
-    return [[sum(int(x) * int(y) for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def path_counts(q: Quiver) -> list[list[int]]:
@@ -327,19 +328,22 @@ def positive_roots(q: Quiver) -> list[tuple[int, ...]]:
     Start from the simple roots and close under the simple reflections
     s_i(d) = d - (d, e_i) e_i (symmetrized pairing); keep the nonnegative
     vectors.  Finite exactly in the Dynkin case, which the precondition
-    guarantees.
+    guarantees.  The closure is memoized per quiver, like `classify_dynkin`;
+    each call returns a fresh sorted list.
     """
+    return list(_positive_roots(q))
+
+
+@cache
+def _positive_roots(q: Quiver) -> tuple[tuple[int, ...], ...]:
     if classify_dynkin(q) is None:
         raise NotDynkin("positive roots need an ADE quiver")
     n = q.n
-    sym_rows = []
-    for i in range(n):
-        e_i = [0] * n
-        e_i[i] = 1
-        sym_rows.append([symmetrized_form(q, e_i, [1 if k == j else 0 for k in range(n)]) for j in range(n)])
+    e = euler_matrix(q)
+    sym_rows = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
 
     def reflect(d: tuple[int, ...], i: int) -> tuple[int, ...]:
-        pairing = sum(sym_rows[i][j] * d[j] for j in range(n))
+        pairing = sum(map(operator.mul, sym_rows[i], d))
         out = list(d)
         out[i] -= pairing
         return tuple(out)
@@ -356,5 +360,4 @@ def positive_roots(q: Quiver) -> list[tuple[int, ...]]:
                     seen.add(r)
                     new.append(r)
         frontier = new
-    roots = sorted(d for d in seen if all(x >= 0 for x in d) and any(x > 0 for x in d))
-    return roots
+    return tuple(sorted(d for d in seen if all(x >= 0 for x in d) and any(x > 0 for x in d)))

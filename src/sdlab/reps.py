@@ -10,7 +10,7 @@ Everything here is exact; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import exactmat as xm
@@ -20,19 +20,18 @@ from .prng import SplitMix64, fold_seed
 from .quivers import Quiver, euler_form, positive_roots
 
 
-@dataclass(frozen=True)
-class Representation:
-    quiver: Quiver
-    dim_vector: tuple[int, ...]
-    arrow_maps: tuple[xm.Mat, ...]  # shape (dim[target], dim[source]) per arrow
+class Representation(namedtuple("Representation", "quiver dim_vector arrow_maps")):
+    """arrow_maps[a] has shape (dim[target], dim[source]) for arrow a."""
 
-    def __post_init__(self):
-        q = self.quiver
-        if len(self.dim_vector) != q.n or len(self.arrow_maps) != len(q.arrows):
+    __slots__ = ()
+
+    def __new__(cls, quiver: Quiver, dim_vector: tuple[int, ...], arrow_maps: tuple[xm.Mat, ...]):
+        if len(dim_vector) != quiver.n or len(arrow_maps) != len(quiver.arrows):
             raise ValueError("representation data does not match quiver")
-        for (s, t), m in zip(q.arrows, self.arrow_maps):
-            if (m.rows, m.cols) != (self.dim_vector[t - 1], self.dim_vector[s - 1]):
+        for (s, t), m in zip(quiver.arrows, arrow_maps):
+            if (m.rows, m.cols) != (dim_vector[t - 1], dim_vector[s - 1]):
                 raise ValueError("arrow map shape mismatch at %d->%d" % (s, t))
+        return super().__new__(cls, quiver, dim_vector, arrow_maps)
 
     def total_dim(self) -> int:
         return sum(self.dim_vector)
@@ -99,8 +98,8 @@ def injective_rep(q: Quiver, i: int) -> Representation:
     return Representation(q, dims, tuple(maps))
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(namedtuple("HomSpace", "dim basis")):
+    __slots__ = ()
     dim: int
     basis: tuple[tuple[xm.Mat, ...], ...]  # basis[b][v] : M_v -> N_v
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .catalog import IndecCatalog, catalog_for
 from .derived import DerivedObject, serre_orbit, standard_generator
@@ -37,22 +37,22 @@ from .quivers import Quiver, classify_dynkin, parse_quiver
 PHASE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(namedtuple("Record", "ident shift phase z")):
     """One semistable object: module `ident` shifted by `shift`, at `phase`.
 
     `z` is the charge of the underlying module under the current charge
     vector; the object's phase and |z| feed the mass computations.
     """
 
+    __slots__ = ()
     ident: int
     shift: int
     phase: float
     z: complex
 
 
-@dataclass(frozen=True)
-class StabilityCondition:
+class StabilityCondition(namedtuple("StabilityCondition", "quiver z_simples records")):
+    __slots__ = ()
     quiver: Quiver
     z_simples: tuple
     records: tuple
@@ -161,8 +161,8 @@ def mass(sigma: StabilityCondition, t: float, x: DerivedObject) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MassGrowth:
+class MassGrowth(namedtuple("MassGrowth", "t_grid rates phase_upper phase_lower")):
+    __slots__ = ()
     t_grid: tuple
     rates: tuple  # extrapolated growth rate of log mass(S^n G) per t
     phase_upper: float  # windowed max of (max object phase at level n) / n
@@ -252,8 +252,8 @@ def act(sigma: StabilityCondition, action) -> StabilityCondition:
     return _assemble(q, cat, new_z, triples)
 
 
-@dataclass(frozen=True)
-class GepnerReport:
+class GepnerReport(namedtuple("GepnerReport", "mu charge_match slicing_match")):
+    __slots__ = ()
     mu: float
     charge_match: bool
     slicing_match: bool

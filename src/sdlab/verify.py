@@ -9,7 +9,7 @@ user should see hold before trusting larger runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import catalog_for
@@ -33,16 +33,16 @@ from .stability import (
 DEFAULT_QUIVERS = ("A2", "A3", "D4")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name passed margin detail")):
+    __slots__ = ()
     name: str
     passed: bool
     margin: float
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(namedtuple("VerifySummary", "results all_passed worst_margin")):
+    __slots__ = ()
     results: tuple
     all_passed: bool
     worst_margin: float
@@ -487,8 +487,8 @@ def check_sdim_window(dynkin, n_max=30) -> CheckResult:
 
 
 def run_all(quivers=DEFAULT_QUIVERS, samples: int = 50, seed: int = 2026) -> VerifySummary:
-    """Every check over the named quivers.  A sample count below 1 is a
-    ConfigError, since the sampled checks would then pass on no sample.  All
+    """Every check over the named quivers.  A sample count below 1 or no
+    Dynkin quiver is a ConfigError: the checks would pass on nothing.  All
     names are parsed, then all classified, then each Dynkin quiver's Gepner
     point is built once, so a ParseError comes before a DisconnectedQuiver
     and both before a HeartMismatch, whatever the order of the names."""
@@ -497,6 +497,8 @@ def run_all(quivers=DEFAULT_QUIVERS, samples: int = 50, seed: int = 2026) -> Ver
     parsed = [(name, parse_quiver(name)) for name in quivers]
     classes = [(name, q, classify_dynkin(q)) for name, q in parsed]
     dynkin = [entry for entry in classes if entry[2] is not None]
+    if not dynkin:
+        raise ConfigError("verify needs at least one Dynkin quiver")
     points = [(name, q, dyn, gepner_construct(q)) for name, q, dyn in dynkin]
     results = [
         check_euler_form_random_agreement(parsed, seed),

@@ -322,13 +322,35 @@ def test_single_value_and_grid_conflict_exits_two(capsys, argv, message):
         ["stab", "gepner", "--quiver", "A2"],
         ["gepner", "--quiver", "A2"],
         ["curve", "--genus", "2", "--H", "1"],
+        ["stab", "gldim", "--quiver", "A2", "--z=1,1;-1,1"],
+        ["stab", "fec", "--quiver", "A2", "--gepner"],
+        ["stab", "restrict", "--quiver", "A3", "--gepner", "--subset", "1,2"],
+        ["stab", "mass", "--quiver", "A2", "--gepner"],
     ],
-    ids=["quiver", "entropy", "sdim", "volume", "stab-gepner", "gepner", "curve"],
+    ids=["quiver", "entropy", "sdim", "volume", "stab-gepner", "gepner", "curve",
+         "gldim-z", "fec-gepner", "restrict-gepner", "mass-gepner"],
 )
 def test_seed_is_rejected_where_nothing_reads_it(capsys, argv):
     code, out, err = _run(capsys, argv + ["--seed", "3"])
     assert code == 2 and out == ""
     assert _error_type(err) == "ConfigError"
+
+
+def test_sample_source_without_seed_reads_seed_zero(capsys):
+    argv = ["stab", "gldim", "--quiver", "A3", "--sample"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert _run(capsys, argv + ["--seed", "0"]) == (0, out, "")
+    assert _run(capsys, argv + ["--seed", "1"])[1] != out
+
+
+def test_verify_needs_a_dynkin_quiver(capsys):
+    code, out, err = _run(capsys, ["verify", "--quivers", "K2", "--samples", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == "verify needs at least one Dynkin quiver"
+    code, out, _ = _run(capsys, ["verify", "--quivers", "K2,A2", "--samples", "1"])
+    assert code == 0
+    assert json.loads(out)["quivers"] == ["K2", "A2"]
 
 
 @pytest.mark.parametrize(
@@ -468,3 +490,30 @@ def test_import_and_numpy_free_commands_never_load_numpy(tmp_path):
     assert len(steps) == 2 + len(NUMPY_FREE_ARGV)
     assert steps == dict.fromkeys(steps, [])
     assert [code for code, _ in runs] == [0, 0, 0, 0, 3]
+
+
+# one argv per subcommand, the numpy users included
+EVERY_COMMAND_ARGV = [
+    ["quiver", "--quiver", "E6"],
+    ["entropy", "--quiver", "A2", "--t-grid=0,1,2"],
+    ["sdim", "--quiver", "A2"],
+    ["volume", "--quiver", "A2", "--lam", "2"],
+    ["stab", "gldim", "--quiver", "A3", "--sample"],
+    ["stab", "sample", "--quiver", "D4", "--seed", "3"],
+    ["stab", "gepner", "--quiver", "A2", "--check"],
+    ["stab", "fec", "--quiver", "A2", "--gepner"],
+    ["stab", "restrict", "--quiver", "A3", "--gepner", "--subset", "1,2"],
+    ["stab", "mass", "--quiver", "A2", "--gepner"],
+    ["gepner", "--quiver", "A3"],
+    ["curve", "--genus", "2", "--H", "1"],
+    ["verify", "--quivers", "A2", "--samples", "1"],
+]
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    # the value types are namedtuples: dataclasses and its inspect import
+    # were most of the import time
+    steps, runs = _modules_loaded(tmp_path, ("dataclasses",), EVERY_COMMAND_ARGV)
+    assert len(steps) == 2 + len(EVERY_COMMAND_ARGV)
+    assert steps == dict.fromkeys(steps, [])
+    assert [code for code, _ in runs] == [0] * len(EVERY_COMMAND_ARGV)

@@ -1,13 +1,20 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from sdlab import (
+    CurveStability,
     CyclicQuiver,
+    DerivedObject,
     DimensionMismatch,
     DisconnectedQuiver,
     NotDynkin,
     ParseError,
     Quiver,
+    Record,
+    SerreDims,
+    catalog_for,
     classify_dynkin,
     coxeter_matrix,
     coxeter_order,
@@ -55,6 +62,8 @@ def test_parse_rejects_garbage():
         parse_quiver("vertices:two; arrows:1->2")
     with pytest.raises(ParseError):
         parse_quiver("vertices:2; arrows:1->5")
+    with pytest.raises(ParseError):
+        parse_quiver("vertices:0; arrows:")
     with pytest.raises(CyclicQuiver):
         parse_quiver("vertices:2; arrows:1->2,2->1")
 
@@ -149,6 +158,8 @@ def test_positive_root_counts():
         roots = positive_roots(parse_quiver(name))
         assert len(roots) == count
         assert len(set(roots)) == count
+        roots.clear()  # the memoized closure hands out a fresh list
+        assert len(positive_roots(parse_quiver(name))) == count
     with pytest.raises(NotDynkin):
         positive_roots(parse_quiver("K2"))
 
@@ -157,3 +168,33 @@ def test_roots_invariant_under_orientation():
     bipartite = parse_quiver("A3")
     linear = parse_quiver("vertices:3; arrows:1->2,2->3")
     assert positive_roots(bipartite) == positive_roots(linear)
+
+
+def test_value_types_are_frozen_and_compare_by_value():
+    q = parse_quiver("A2")
+    rec = Record(1, 0, 0.5, 1j)
+    for obj, field in ((q, "n"), (rec, "phase"), (catalog_for(q).entries[0], "proj_vertex")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+        with pytest.raises(AttributeError):
+            obj.extra = 0
+    x = DerivedObject.create(q, [(1, 0), (0, 0)])
+    for a, b in ((q, Quiver(2, ((1, 2),))), (rec, Record(1, 0, 0.5, 1j)),
+                 (x, DerivedObject(Quiver(2, ((1, 2),)), ((0, 0), (1, 0))))):
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert rec != Record(1, 1, 0.5, 1j)
+    with pytest.raises(AssertionError):
+        SerreDims(0.25, 0.5, None)
+
+
+def test_value_types_keep_their_repr():
+    q = Quiver(2, ((1, 2),))
+    assert repr(q) == "Quiver(n=2, arrows=((1, 2),))"
+    assert repr(CurveStability(2, 0.0, 1.0)) == "CurveStability(genus=2, beta=0.0, H=1.0)"
+    assert repr(Record(1, 0, 0.5, 1j)) == "Record(ident=1, shift=0, phase=0.5, z=1j)"
+    assert repr(DerivedObject(q, ((0, 0),))) == (
+        "DerivedObject(quiver=Quiver(n=2, arrows=((1, 2),)), summands=((0, 0),))"
+    )
+    assert repr(SerreDims(0.5, 0.5, Fraction(1, 2))) == (
+        "SerreDims(upper=0.5, lower=0.5, exact=Fraction(1, 2))"
+    )
