@@ -328,14 +328,8 @@ def positive_roots(q: Quiver) -> list[tuple[int, ...]]:
     Start from the simple roots and close under the simple reflections
     s_i(d) = d - (d, e_i) e_i (symmetrized pairing); keep the nonnegative
     vectors.  Finite exactly in the Dynkin case, which the precondition
-    guarantees.  The closure is memoized per quiver, like `classify_dynkin`;
-    each call returns a fresh sorted list.
+    guarantees.
     """
-    return list(_positive_roots(q))
-
-
-@cache
-def _positive_roots(q: Quiver) -> tuple[tuple[int, ...], ...]:
     if classify_dynkin(q) is None:
         raise NotDynkin("positive roots need an ADE quiver")
     n = q.n
@@ -360,4 +354,4 @@ def _positive_roots(q: Quiver) -> tuple[tuple[int, ...], ...]:
                     seen.add(r)
                     new.append(r)
         frontier = new
-    return tuple(sorted(d for d in seen if all(x >= 0 for x in d) and any(x > 0 for x in d)))
+    return sorted(d for d in seen if all(x >= 0 for x in d) and any(x > 0 for x in d))

@@ -139,6 +139,10 @@ def test_verify_command_exits_zero(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["all_passed"] is True
+    # a non-Dynkin quiver may ride along with a Dynkin one
+    code, out, _ = _run(capsys, ["verify", "--quivers", "K2,A2", "--samples", "1"])
+    assert code == 0
+    assert json.loads(out)["quivers"] == ["K2", "A2"]
 
 
 def test_domain_errors_exit_three(capsys):
@@ -344,15 +348,6 @@ def test_sample_source_without_seed_reads_seed_zero(capsys):
     assert _run(capsys, argv + ["--seed", "1"])[1] != out
 
 
-def test_verify_needs_a_dynkin_quiver(capsys):
-    code, out, err = _run(capsys, ["verify", "--quivers", "K2", "--samples", "1"])
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["message"] == "verify needs at least one Dynkin quiver"
-    code, out, _ = _run(capsys, ["verify", "--quivers", "K2,A2", "--samples", "1"])
-    assert code == 0
-    assert json.loads(out)["quivers"] == ["K2", "A2"]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -361,8 +356,10 @@ def test_verify_needs_a_dynkin_quiver(capsys):
          "samples must be at least 1"),
         (["sdim", "--quiver", "A2", "--budget", "0"], "budget must be at least 1"),
         (["entropy", "--quiver", "A2", "--budget", "-1"], "budget must be at least 1"),
+        (["verify", "--quivers", "K2", "--samples", "1"],
+         "verify needs at least one Dynkin quiver"),
     ],
-    ids=["samples-0", "samples-neg", "budget-0", "budget-neg"],
+    ids=["samples-0", "samples-neg", "budget-0", "budget-neg", "no-dynkin-quiver"],
 )
 def test_nonpositive_count_exits_two(capsys, argv, message):
     code, out, err = _run(capsys, argv)
