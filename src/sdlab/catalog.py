@@ -5,9 +5,9 @@ On a Dynkin quiver an indecomposable is fixed by its dimension vector
 Coxeter matrix Phi: S P_i = I_i and S M = tau M[1] otherwise (Happel 1988).
 So entries hold dimension vectors only.  The projectives and injectives are
 the rows and columns of the path-count matrix P = E^{-1}, and each Serre
-step is read off the sign of the integer vector A^{+-1} dim M.  The hom/ext
-tables come from the Euler form, so nothing here calls into the exact
-representations of `reps`.
+step is read off the sign of the integer vector A^{+-1} dim M.  Hom and Ext
+come from one memoized Euler form per pair, so nothing here calls into the
+exact representations of `reps`.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ class IndecCatalog:
         self.proj_ids: list[int] = []
         self.inj_ids: list[int] = []
         self._steps: dict[tuple[int, int], tuple[int, int]] = {}
-        self._hom: dict[tuple[int, int], int] = {}
-        self._ext: dict[tuple[int, int], int] = {}
+        self._chi: dict[tuple[int, int], int] = {}
         for dim, proj_vertex, inj_vertex in records or self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
         self._link()
@@ -163,7 +162,7 @@ class IndecCatalog:
     def serre_inv_step(self, ident: int) -> tuple[int, int]:
         return self._steps.get((ident, -1)) or self._step(ident, -1)
 
-    # -- pairwise tables (lazy, memoized)
+    # -- the pairwise Euler form (lazy, memoized)
 
     def _require_module(self, ident: int) -> None:
         e = self.entries[ident]
@@ -173,27 +172,25 @@ class IndecCatalog:
                 "needs a Dynkin quiver" % ident
             )
 
-    def _fill(self, a: int, b: int) -> None:
-        """Every cataloged entry lies in a directed component, where Hom and
-        Ext^1 are never both nonzero, so chi = hom - ext gives both.  Out of
-        a projective chi(P_i, N) is dim N at vertex i, valid for virtual N."""
-        src = self.entries[a]
-        if not src.is_projective:
-            self._require_module(a)
-            self._require_module(b)
-        chi = euler_form(self.quiver, src.dim_vector, self.entries[b].dim_vector)
-        self._hom[a, b] = max(chi, 0)
-        self._ext[a, b] = max(-chi, 0)
+    def chi(self, a: int, b: int) -> int:
+        """<dim a, dim b> = hom - ext^1, memoized.  Every cataloged entry
+        lies in a directed component, where Hom and Ext^1 are never both
+        nonzero, so the sign of chi says which one is.  Out of a projective
+        chi(P_i, N) is dim N at vertex i, valid for virtual N."""
+        chi = self._chi.get((a, b))
+        if chi is None:
+            src = self.entries[a]
+            if not src.is_projective:
+                self._require_module(a)
+                self._require_module(b)
+            chi = self._chi[a, b] = euler_form(self.quiver, src.dim_vector, self.entries[b].dim_vector)
+        return chi
 
     def hom_dim(self, a: int, b: int) -> int:
-        if (a, b) not in self._hom:
-            self._fill(a, b)
-        return self._hom[a, b]
+        return max(self.chi(a, b), 0)
 
     def ext_dim(self, a: int, b: int) -> int:
-        if (a, b) not in self._ext:
-            self._fill(a, b)
-        return self._ext[a, b]
+        return max(-self.chi(a, b), 0)
 
     def require_complete(self) -> None:
         if not self.is_complete:

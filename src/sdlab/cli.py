@@ -170,31 +170,30 @@ def _cmd_volume(ns: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_stab_gldim(ns: argparse.Namespace) -> dict:
-    q = parse_quiver(ns.quiver)
-    sigma = _sigma_from_args(ns, q)
+def _stab_report(kind: str, q: Quiver, sigma: st.StabilityCondition, table=None, **extra) -> dict:
+    """The report every stab command shares: the quiver, sigma, its global
+    dimension and a table, by default the semistable records."""
     return {
-        "kind": "stability-gldim",
+        "kind": kind,
         "quiver": q.text(),
         "sigma": sigma.to_json(),
         "gldim": st.gldim(sigma),
-        "record_count": len(sigma.records),
-        "table": _records_table(sigma),
+        "table": table or _records_table(sigma),
+        **extra,
     }
+
+
+def _cmd_stab_gldim(ns: argparse.Namespace) -> dict:
+    q = parse_quiver(ns.quiver)
+    sigma = _sigma_from_args(ns, q)
+    return _stab_report("stability-gldim", q, sigma, record_count=len(sigma.records))
 
 
 def _cmd_stab_sample(ns: argparse.Namespace) -> dict:
     q = parse_quiver(ns.quiver)
     sigma = st.sample_stability(q, ns.seed)
-    return {
-        "kind": "stability-sample",
-        "quiver": q.text(),
-        "seed": ns.seed,
-        "sigma": sigma.to_json(),
-        "gldim": st.gldim(sigma),
-        "record_count": len(sigma.records),
-        "table": _records_table(sigma),
-    }
+    return _stab_report("stability-sample", q, sigma, seed=ns.seed,
+                        record_count=len(sigma.records))
 
 
 def _cmd_stab_gepner(ns: argparse.Namespace) -> dict:
@@ -202,14 +201,7 @@ def _cmd_stab_gepner(ns: argparse.Namespace) -> dict:
     sigma = st.gepner_construct(q)
     dyn = classify_dynkin(q)
     mu = ns.mu if ns.mu is not None else (dyn.coxeter_number - 2) / dyn.coxeter_number
-    report = {
-        "kind": "gepner-point",
-        "quiver": q.text(),
-        "mu": mu,
-        "sigma": sigma.to_json(),
-        "gldim": st.gldim(sigma),
-        "table": _records_table(sigma),
-    }
+    report = _stab_report("gepner-point", q, sigma, mu=mu)
     if ns.check:
         rep = st.gepner_check(sigma, mu)
         report["charge_match"] = rep.charge_match
@@ -230,13 +222,8 @@ def _cmd_stab_fec(ns: argparse.Namespace) -> dict:
         dim = cat.entries[ident].dim_vector
         rows.append([ident, " ".join(str(d) for d in dim), shift,
                      r.phase + (shift - r.shift)])
-    return {
-        "kind": "exceptional-collection",
-        "quiver": q.text(),
-        "sigma": sigma.to_json(),
-        "gldim": st.gldim(sigma),
-        "table": {"header": ["id", "dim_vector", "shift", "phase"], "rows": rows},
-    }
+    table = {"header": ["id", "dim_vector", "shift", "phase"], "rows": rows}
+    return _stab_report("exceptional-collection", q, sigma, table)
 
 
 def _cmd_stab_restrict(ns: argparse.Namespace) -> dict:
@@ -245,15 +232,8 @@ def _cmd_stab_restrict(ns: argparse.Namespace) -> dict:
     if not ns.subset:
         raise ConfigError("restrict needs --subset, e.g. --subset 1,2")
     sub = st.restrict_to_subquiver(sigma, ns.subset)
-    return {
-        "kind": "stability-restriction",
-        "quiver": q.text(),
-        "subset": list(ns.subset),
-        "subquiver": sub.quiver.text(),
-        "sigma": sub.to_json(),
-        "gldim": st.gldim(sub),
-        "table": _records_table(sub),
-    }
+    return _stab_report("stability-restriction", q, sub, subset=list(ns.subset),
+                        subquiver=sub.quiver.text())
 
 
 def _cmd_stab_mass(ns: argparse.Namespace) -> dict:
@@ -447,6 +427,39 @@ def _add_sigma_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", dest="sigma_path", default=None, help="JSON file with a stability condition")
 
 
+# stab subcommand -> (handler, whether it reads a stability source)
+_STAB_COMMANDS = {
+    "gldim": (_cmd_stab_gldim, True),
+    "sample": (_cmd_stab_sample, False),
+    "gepner": (_cmd_stab_gepner, False),
+    "fec": (_cmd_stab_fec, True),
+    "restrict": (_cmd_stab_restrict, True),
+    "mass": (_cmd_stab_mass, True),
+}
+
+
+def _add_stab_command(p: argparse.ArgumentParser, name: str) -> None:
+    """The options of `stab <name>`; the top-level `gepner` alias shares them."""
+    handler, needs_sigma = _STAB_COMMANDS[name]
+    p.set_defaults(handler=handler)
+    p.add_argument("--quiver", required=True)
+    if needs_sigma:
+        _add_sigma_source(p)
+    if name == "gepner":
+        p.add_argument("--check", action="store_true")
+        p.add_argument("--mu", type=_finite, default=None)
+    if name == "restrict":
+        p.add_argument("--subset", type=_ints, required=True)
+    if name == "mass":
+        p.add_argument("--t", type=_finite, default=None)
+        p.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
+        p.add_argument("--nmax", dest="n_max", type=int, default=30)
+    if needs_sigma or name == "sample":  # read by `sample` and the --sample source
+        p.add_argument("--seed", type=int, default=None if needs_sigma else 0,
+                       help="PRNG seed (64-bit)")
+    _add_common(p)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdlab", description="entropy, Serre dimensions, and stability conditions")
     parser.add_argument("--version", action="version", version="sdlab %s" % __version__)
@@ -483,39 +496,9 @@ def build_parser() -> _Parser:
 
     stab = sub.add_parser("stab", help="stability condition operations")
     stab_sub = stab.add_subparsers(dest="stab_command", parser_class=_Parser)
-    for name, handler, needs_sigma in (
-        ("gldim", _cmd_stab_gldim, True),
-        ("sample", _cmd_stab_sample, False),
-        ("gepner", _cmd_stab_gepner, False),
-        ("fec", _cmd_stab_fec, True),
-        ("restrict", _cmd_stab_restrict, True),
-        ("mass", _cmd_stab_mass, True),
-    ):
-        sp = stab_sub.add_parser(name)
-        sp.set_defaults(handler=handler)
-        sp.add_argument("--quiver", required=True)
-        if needs_sigma:
-            _add_sigma_source(sp)
-        if name == "gepner":
-            sp.add_argument("--check", action="store_true")
-            sp.add_argument("--mu", type=_finite, default=None)
-        if name == "restrict":
-            sp.add_argument("--subset", type=_ints, required=True)
-        if name == "mass":
-            sp.add_argument("--t", type=_finite, default=None)
-            sp.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
-            sp.add_argument("--nmax", dest="n_max", type=int, default=30)
-        if needs_sigma or name == "sample":  # read by `sample` and the --sample source
-            sp.add_argument("--seed", type=int, default=None if needs_sigma else 0,
-                            help="PRNG seed (64-bit)")
-        _add_common(sp)
-
-    p = sub.add_parser("gepner", help="alias for stab gepner")
-    p.set_defaults(handler=_cmd_stab_gepner)
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--check", action="store_true")
-    p.add_argument("--mu", type=_finite, default=None)
-    _add_common(p)
+    for name in _STAB_COMMANDS:
+        _add_stab_command(stab_sub.add_parser(name), name)
+    _add_stab_command(sub.add_parser("gepner", help="alias for stab gepner"), "gepner")
 
     p = sub.add_parser("curve", help="curve global dimension bounds")
     p.set_defaults(handler=_cmd_curve)

@@ -4,7 +4,7 @@ Over a hereditary algebra every object splits into shifts of modules, so a
 finite multiset of (catalog id, shift) pairs is a faithful model.  The Serre
 functor acts summand by summand through the catalog's step maps, and
 `serre_orbit` walks S^n X level by level.  Hom Poincare data comes from the
-pairwise hom/ext tables with degree bookkeeping.
+catalog's pairwise Euler form with degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -81,9 +81,10 @@ def hom_poincare(x: DerivedObject, y: DerivedObject) -> dict[int, int]:
 
     Hom(M[a], N[b][m]) = Ext^(b+m-a)(M, N), so for summands M[a], N[b] of a
     hereditary category the contributions are hom(M, N) in degree a - b and
-    ext^1(M, N) in degree a - b + 1.  When the source summand is projective
-    only the hom term survives and it equals the dimension of N at that
-    vertex, which works for virtual entries too.
+    ext^1(M, N) in degree a - b + 1.  At most one is nonzero: |chi(M, N)|
+    lands in degree a - b, or a - b + 1 when chi is negative.  Out of a
+    projective chi is the dimension of N at that vertex, which works for
+    virtual entries too.
 
     This is the general tool of `verify`'s duality checks and of the tests.
     The entropy series does not call it: with X = G it reads each level off
@@ -97,12 +98,10 @@ def hom_poincare(x: DerivedObject, y: DerivedObject) -> dict[int, int]:
     out: dict[int, int] = {}
     for id1, a in x.summands:
         for id2, b in y.summands:
-            h = cat.hom_dim(id1, id2)
-            if h:
-                out[a - b] = out.get(a - b, 0) + h
-            e = cat.ext_dim(id1, id2)
-            if e:
-                out[a - b + 1] = out.get(a - b + 1, 0) + e
+            c = cat.chi(id1, id2)
+            if c:
+                m = a - b + (c < 0)
+                out[m] = out.get(m, 0) + abs(c)
     return out
 
 

@@ -4,9 +4,9 @@ The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
 generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
 level n is the total dimension of each summand N[b] of S^n G, added at
 m = -b: one walk of the projectives' Serre orbits gives every level, and no
-pairwise hom/ext table is filled.  Entropy at parameter t is the growth rate
-of f_n(t) = sum_m dim * exp(-m t); the estimators fit a + b/n over a
-deterministic subsequence and report the extrapolated intercept.
+pairwise Euler form is read.  Entropy at parameter t is the growth rate of
+f_n(t) = sum_m dim * exp(-m t); `growth_rate` fits a + b/n over a
+deterministic subsequence and reports the extrapolated intercept.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .quivers import Quiver, classify_dynkin
 DEFAULT_BUDGET = 10**9
 
 
-def _log_sum_exp(terms) -> float:
+def log_sum_exp(terms) -> float:
     """log(sum(exp(v))) over the terms, shifted by their maximum so that no
     single exp overflows; ConfigError when the sum leaves the float range."""
     vals = list(terms)
@@ -45,7 +45,7 @@ class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_p
 
     def log_f(self, n: int, t: float) -> float:
         """log f_n(t) via a log-sum-exp, safe for large |m t|."""
-        return _log_sum_exp(math.log(d) - m * t for m, d in self.levels[n].items())
+        return log_sum_exp(math.log(d) - m * t for m, d in self.levels[n].items())
 
 
 @functools.lru_cache(maxsize=64)
@@ -87,39 +87,37 @@ def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> Entro
     return EntropySeries(q, n_max, tuple(levels), tuple(mins), tuple(maxs))
 
 
-def _fit_intercept(ns, ys) -> float:
-    """Least-squares fit of y = a + b/n; returns a (the n -> infinity limit)."""
+def tail_window(n_max: int) -> range:
+    """The tail half of the levels 1..n_max, where the estimators read."""
+    return range(max(1, n_max - n_max // 2), n_max + 1)
+
+
+def growth_rate(q: Quiver, n_max: int, log_f) -> float:
+    """Extrapolated n -> infinity limit of log_f(n) / n: the intercept a of
+    the least-squares fit y = a + b/n.  On Dynkin quivers it is sampled at
+    the multiples of the Coxeter number when n_max holds two, where the
+    sequence is affine in 1/n and the fit is exact; otherwise over the tail
+    window."""
+    dyn = classify_dynkin(q)
+    ns = tail_window(n_max)
+    if dyn is not None and n_max >= 2 * dyn.coxeter_number:
+        ns = range(dyn.coxeter_number, n_max + 1, dyn.coxeter_number)
+    ys = [log_f(n) / n for n in ns]
     if len(ns) == 1:
         return ys[0]
     import numpy as np
 
-    xs = np.array([1.0 / n for n in ns])
-    b, a = np.polyfit(xs, np.array(ys), 1)
+    b, a = np.polyfit(np.array([1.0 / n for n in ns]), np.array(ys), 1)
     return float(a)
-
-
-def _sample_points(q: Quiver, n_max: int) -> list[int]:
-    dyn = classify_dynkin(q)
-    if dyn is not None:
-        h = dyn.coxeter_number
-        ns = [n for n in range(h, n_max + 1) if n % h == 0]
-        if len(ns) >= 2:
-            return ns
-    lo = max(1, n_max - n_max // 2)
-    return list(range(lo, n_max + 1))
 
 
 def entropy_estimate(
     q: Quiver, t: float, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Categorical entropy h_t of the Serre functor, extrapolated from the
-    series.  On Dynkin quivers the sequence (1/n) log f_n is sampled at
-    multiples of the Coxeter number, where it is affine in 1/n and the fit
-    is exact; otherwise the tail half of the range is used."""
+    series by `growth_rate`."""
     series = entropy_series(q, n_max, budget)
-    ns = _sample_points(q, n_max)
-    ys = [series.log_f(n, t) / n for n in ns]
-    return _fit_intercept(ns, ys)
+    return growth_rate(q, n_max, lambda n: series.log_f(n, t))
 
 
 class SerreDims(namedtuple("SerreDims", "upper lower exact")):
@@ -136,8 +134,7 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
     S^n G, windowed over the tail half; the exact field carries
     (h - 2) / h on Dynkin quivers and None otherwise."""
     series = entropy_series(q, n_max, budget)
-    lo = max(1, n_max - n_max // 2)
-    window = range(lo, n_max + 1)
+    window = tail_window(n_max)
     upper = max(series.m_minus[n] / n for n in window)
     lower = max(series.m_plus[n] / n for n in window)
     dyn = classify_dynkin(q)

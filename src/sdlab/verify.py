@@ -28,6 +28,7 @@ from .stability import (
     make_stability,
     mass_growth,
     sample_stability,
+    slicing_gap,
 )
 
 DEFAULT_QUIVERS = ("A2", "A3", "D4")
@@ -282,9 +283,10 @@ def check_exceptional_collections(points) -> CheckResult:
             for idx2, (b, kb) in enumerate(coll):
                 if idx1 == idx2:
                     continue
-                if cat.hom_dim(a, b) and kb != ka:
+                c = cat.chi(a, b)
+                if c > 0 and kb != ka:
                     bad.append("%s: hom not in degree 0" % name)
-                if cat.ext_dim(a, b) and kb != ka + 1:
+                if c < 0 and kb != ka + 1:
                     bad.append("%s: ext not in degree 0 after shift" % name)
     return _result(
         "stable-exceptional-collection", not bad, float(not bad),
@@ -395,11 +397,7 @@ def _sigma_distance(a, b) -> float:
     if a.quiver != b.quiver:
         return math.inf
     d = max(abs(x - y) for x, y in zip(a.z_simples, b.z_simples))
-    amap = {(r.ident, r.shift): r.phase for r in a.records}
-    bmap = {(r.ident, r.shift): r.phase for r in b.records}
-    if set(amap) != set(bmap):
-        return math.inf
-    return max(d, max(abs(amap[k] - bmap[k]) for k in amap))
+    return max(d, slicing_gap(a, b))
 
 
 def check_heart_window_integrity(points, samples, seed) -> CheckResult:

@@ -322,6 +322,50 @@ def test_exceptional_collection_has_no_backward_maps():
             assert cat.ext_dim(coll[i][0], coll[j][0]) == 0
 
 
+def _gldim_from_tables(sigma, hom, ext):
+    # the definition, with Hom and Ext^1 read separately
+    best = 0.0
+    for r1 in sigma.records:
+        rho1 = r1.phase - r1.shift
+        for r2 in sigma.records:
+            rho2 = r2.phase - r2.shift
+            if hom[r1.ident][r2.ident] > 0:
+                best = max(best, rho2 - rho1)
+            if ext[r1.ident][r2.ident] > 0:
+                best = max(best, rho2 - rho1 + 1.0)
+    return best
+
+
+@pytest.mark.parametrize("text", ["A4", "D5", "E6"])
+def test_gldim_and_exceptional_collections_match_exact_hom_ext(text):
+    q = parse_quiver(text)
+    reps = catalog_reps(catalog_for(q))
+    hom = [[sdlab.reps.hom_dim(a, b) for b in reps] for a in reps]
+    ext = [[sdlab.reps.ext1_dim(a, b) for b in reps] for a in reps]
+    gepner = gepner_construct(q)
+    # samples rarely reach gldim < 1; rotations of the Gepner point keep it
+    # there and give collections with shifted members and Ext^1 between them
+    rotations = [act(gepner, mu / 10) for mu in range(-9, 10, 2)]
+    collections = 0
+    for sigma in [sample_stability(q, seed) for seed in range(10)] + [gepner] + rotations:
+        g = gldim(sigma)
+        assert g == _gldim_from_tables(sigma, hom, ext)
+        if g >= 1.0 - PHASE_TOL:
+            with pytest.raises(GldimTooLarge):
+                extract_exceptional_collection(sigma)
+            continue
+        coll = extract_exceptional_collection(sigma)
+        collections += 1
+        assert len(coll) == q.n
+        for i, (a, ka) in enumerate(coll):
+            for b, _ in coll[:i]:
+                assert hom[a][b] == 0 and ext[a][b] == 0
+            for b, kb in coll[i + 1:]:
+                assert not hom[a][b] or kb == ka
+                assert not ext[a][b] or kb == ka + 1
+    assert collections == 11
+
+
 def test_restriction_of_gepner_point():
     sigma = gepner_construct(A3)
     sub = restrict_to_subquiver(sigma, (1, 2))
