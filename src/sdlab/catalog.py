@@ -6,8 +6,9 @@ Coxeter matrix Phi: S P_i = I_i and S M = tau M[1] otherwise (Happel 1988).
 So entries hold dimension vectors only.  The projectives and injectives are
 the rows and columns of the path-count matrix P = E^{-1}, and each Serre
 step is read off the sign of the integer vector A^{+-1} dim M.  Hom and Ext
-come from one memoized Euler form per pair, so nothing here calls into the
-exact representations of `reps`.
+come from one integer table of the Euler form, chi = D E D^T over the
+dimension vectors D, so nothing here calls into the exact representations
+of `reps`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ class IndecCatalog:
         paths = path_counts(quiver)
         proj = [tuple(r) for r in paths]
         inj = [tuple(c) for c in zip(*paths)]
+        self.euler = ed.euler
         self.serre_k = ed.serre_k_action
         # A^{-1} = P^T E, and the rows of P^T are the injective dims
         self.serre_k_inv = int_mat_mul(inj, ed.euler)
@@ -78,7 +80,7 @@ class IndecCatalog:
         self.proj_ids: list[int] = []
         self.inj_ids: list[int] = []
         self._steps: dict[tuple[int, int], tuple[int, int]] = {}
-        self._chi: dict[tuple[int, int], int] = {}
+        self._chi_rows: list[tuple[int, ...]] | None = None
         for dim, proj_vertex, inj_vertex in records or self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
         self._link()
@@ -162,29 +164,34 @@ class IndecCatalog:
     def serre_inv_step(self, ident: int) -> tuple[int, int]:
         return self._steps.get((ident, -1)) or self._step(ident, -1)
 
-    # -- the pairwise Euler form (lazy, memoized)
+    # -- the pairwise Euler form
 
-    def _require_module(self, ident: int) -> None:
-        e = self.entries[ident]
-        if not (self.is_complete or e.is_projective or e.is_injective):
-            raise CatalogIncomplete(
-                "entry %d is virtual (dimension-only); full homological data "
-                "needs a Dynkin quiver" % ident
-            )
+    def chi_rows(self) -> list[tuple[int, ...]]:
+        """chi(a, b) = <dim a, dim b> of a complete catalog as rows by id, built
+        on first use in one pass: chi = D E D^T for the dimension vectors D."""
+        if self._chi_rows is None:
+            self.require_complete()
+            dims = [e.dim_vector for e in self.entries]
+            self._chi_rows = [int_mat_vec(dims, r) for r in int_mat_mul(dims, self.euler)]
+        return self._chi_rows
 
     def chi(self, a: int, b: int) -> int:
-        """<dim a, dim b> = hom - ext^1, memoized.  Every cataloged entry
-        lies in a directed component, where Hom and Ext^1 are never both
-        nonzero, so the sign of chi says which one is.  Out of a projective
-        chi(P_i, N) is dim N at vertex i, valid for virtual N."""
-        chi = self._chi.get((a, b))
-        if chi is None:
-            src = self.entries[a]
-            if not src.is_projective:
-                self._require_module(a)
-                self._require_module(b)
-            chi = self._chi[a, b] = euler_form(self.quiver, src.dim_vector, self.entries[b].dim_vector)
-        return chi
+        """hom - ext^1.  Every cataloged entry lies in a directed component,
+        where Hom and Ext^1 are never both nonzero, so the sign says which.
+        Off the table chi(P_i, N) is dim N at vertex i, valid for virtual N;
+        any other pair needs two modules (projective or injective)."""
+        if self.is_complete:
+            return self.chi_rows()[a][b]
+        src, dst = self.entries[a], self.entries[b]
+        if src.is_projective:
+            return dst.dim_vector[src.proj_vertex - 1]
+        for e in (src, dst):
+            if not (e.is_projective or e.is_injective):
+                raise CatalogIncomplete(
+                    "entry %d is virtual (dimension-only); full homological data "
+                    "needs a Dynkin quiver" % e.ident
+                )
+        return euler_form(self.quiver, src.dim_vector, dst.dim_vector)
 
     def hom_dim(self, a: int, b: int) -> int:
         return max(self.chi(a, b), 0)

@@ -269,7 +269,8 @@ def check_exceptional_collections(points) -> CheckResult:
             bad.append("%s: wrong length" % name)
             continue
         dims = [cat.entries[i].dim_vector for i, _ in coll]
-        gram = [[euler_form(q, da, db) for db in dims] for da in dims]
+        rows = cat.chi_rows()
+        gram = [[rows[a][b] for b, _ in coll] for a, _ in coll]
         for i in range(q.n):
             if gram[i][i] != 1:
                 bad.append("%s: diagonal" % name)
@@ -283,7 +284,7 @@ def check_exceptional_collections(points) -> CheckResult:
             for idx2, (b, kb) in enumerate(coll):
                 if idx1 == idx2:
                     continue
-                c = cat.chi(a, b)
+                c = rows[a][b]
                 if c > 0 and kb != ka:
                     bad.append("%s: hom not in degree 0" % name)
                 if c < 0 and kb != ka + 1:

@@ -1,11 +1,14 @@
 """The integer catalog against the exact representation oracle, over random
 orientations of Dynkin trees."""
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdlab import IndecCatalog, euler_form, parse_quiver
+from sdlab import CatalogIncomplete, IndecCatalog, euler_form, parse_quiver
+from sdlab.prng import SplitMix64, fold_seed
 from sdlab.quivers import Quiver
 from sdlab.reps import (
     ar_translate,
@@ -94,3 +97,47 @@ def test_serre_steps_round_trip_along_orbits(text):
             ids = [step(i)[0] for i in ids]
             for ident in ids:
                 _assert_round_trip(cat, ident)
+
+
+def _oriented(text, flips):
+    edges = parse_quiver(text).undirected_edges()
+    return Quiver(len(edges) + 1, tuple((v, u) if f else (u, v) for (u, v), f in zip(edges, flips)))
+
+
+def _table_quivers():
+    """The presets, every orientation of A4 and D5, and 5 seeded ones of E6."""
+    presets = ["A%d" % n for n in range(1, 9)] + ["D%d" % n for n in range(4, 9)]
+    quivers = [parse_quiver(text) for text in presets + ["E6", "E7", "E8"]]
+    for text, edges in (("A4", 3), ("D5", 4)):
+        quivers += [_oriented(text, flips) for flips in itertools.product((0, 1), repeat=edges)]
+    gen = SplitMix64(fold_seed("chi-table", "E6"))
+    quivers += [_oriented("E6", [gen.next_int(0, 1) for _ in range(5)]) for _ in range(5)]
+    return quivers
+
+
+def test_chi_table_equals_euler_form_on_every_pair():
+    for q in _table_quivers():
+        cat = IndecCatalog(q)
+        dims = [e.dim_vector for e in cat.entries]
+        assert cat.chi_rows() == [tuple(euler_form(q, d, e) for e in dims) for d in dims]
+        assert cat.chi(cat.size() - 1, 0) == euler_form(q, dims[-1], dims[0])
+
+
+@pytest.mark.parametrize("text", ["K2", "K3", "vertices:5; arrows:2->1,3->1,4->1,5->1"],
+                         ids=["K2", "K3", "D~4"])
+def test_chi_gate_on_incomplete_catalogs(text):
+    q = parse_quiver(text)
+    cat = IndecCatalog(q)
+    virtual = [cat.serre_inv_step(i)[0] for i in cat.proj_ids]  # tau^-1 P_i, off the table
+    virtual += [cat.serre_step(i)[0] for i in cat.inj_ids]  # tau I_i
+    assert not any(cat.entries[v].is_projective or cat.entries[v].is_injective for v in virtual)
+    for i, p in enumerate(cat.proj_ids):
+        for v in virtual:
+            assert cat.chi(p, v) == cat.entries[v].dim_vector[i]
+            with pytest.raises(CatalogIncomplete):
+                cat.chi(v, p)
+        for j in cat.inj_ids:
+            dj, dp = cat.entries[j].dim_vector, cat.entries[p].dim_vector
+            assert cat.chi(j, p) == euler_form(q, dj, dp)
+    with pytest.raises(CatalogIncomplete):
+        cat.chi_rows()

@@ -176,6 +176,12 @@ def test_nonfinite_charge_exits_three(capsys):
     code, out, err = _run(capsys, ["stab", "gldim", "--quiver", "A2", "--z=nan,1;1,1"])
     assert code == 3 and out == ""
     assert _error_type(err) == "NotAStabilityFunction"
+    # finite simple charges whose sum, the charge of dim (1, 1), overflows
+    for argv in (["stab", "gldim"], ["stab", "mass", "--t", "1"]):
+        code, out, err = _run(capsys, argv + ["--quiver", "A2", "--z=0,1e308;0,1e308"])
+        assert code == 3 and out == ""
+        assert _error_type(err) == "NotAStabilityFunction"
+        assert "(1, 1)" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize(

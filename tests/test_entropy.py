@@ -124,7 +124,11 @@ def test_entropy_chain_reads_no_pairwise_table(monkeypatch):
     def no_table(self, a, b):
         raise AssertionError("pairwise hom/ext lookup")
 
+    def no_rows(self):
+        raise AssertionError("pairwise chi table")
+
     monkeypatch.setattr(IndecCatalog, "chi", no_table)
+    monkeypatch.setattr(IndecCatalog, "chi_rows", no_rows)
     monkeypatch.setattr(IndecCatalog, "hom_dim", no_table)
     monkeypatch.setattr(IndecCatalog, "ext_dim", no_table)
     for text in ("E8", "K2", "vertices:5; arrows:2->1,3->1,4->1,5->1"):

@@ -1,6 +1,8 @@
 """Module boundaries inside the package: a name with a leading underscore
 belongs to its module, so no sibling imports it or reads it off the module
-object.  Dunder names such as `__version__` are public."""
+object.  Dunder names such as `__version__` are public.  And the pairwise
+Euler form is the catalog's: outside `catalog.py` and the `reps` oracle no
+module calls `euler_form` per pair, but reads the catalog's chi table."""
 
 import ast
 from pathlib import Path
@@ -55,3 +57,55 @@ def test_the_check_sees_private_imports_and_reads(tmp_path):
         "mod.py:4 imports _CATALOGS",
         "mod.py:5 reads ent._log",
     ]
+
+
+def _euler_form_calls(path: Path) -> list[str]:
+    """Each call of `euler_form`, by name or as a module attribute, with the
+    function it sits in."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "euler_form":
+                    found.append("%s:%s" % (path.name, where))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+# the forms built on it where it is defined, and the check of euler_form itself
+EULER_FORM_CALLERS = {
+    "quivers.py:symmetrized_form",
+    "quivers.py:tits_form",
+    "verify.py:check_euler_form_random_agreement",
+}
+
+
+def test_only_the_catalog_and_the_oracle_call_euler_form():
+    found = {
+        hit for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("catalog.py", "reps.py")
+        for hit in _euler_form_calls(path)
+    }
+    assert found == EULER_FORM_CALLERS
+
+
+def test_the_check_sees_euler_form_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from . import quivers\n"
+        "from .quivers import euler_form\n"
+        "x = euler_form(q, d, e)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return quivers.euler_form(q, d, e)\n"
+        "    return [euler_form(q, a, b) for a in d for b in e] + [euler_form]\n"
+    )
+    assert _euler_form_calls(path) == ["mod.py:<module>", "mod.py:g", "mod.py:f"]

@@ -52,6 +52,10 @@ def test_make_stability_input_guards():
     for bad in (complex(float("nan"), 1.0), complex(1.0, float("inf")), complex(float("-inf"), 0.0)):
         with pytest.raises(NotAStabilityFunction):
             make_stability(A2, (bad, 1j))
+    # finite charges on the simples whose sum leaves the float range
+    for z in ((1e308j, 1e308j), (-1e308 + 0j, -1e308 + 0j)):
+        with pytest.raises(NotAStabilityFunction, match=r"\(1, 1\)"):
+            make_stability(A2, z)
 
 
 def test_gepner_point_on_a2():
@@ -122,14 +126,13 @@ def _semistable_by_subobjects(q, z_simples, mono):
     return keep
 
 
-def _semistable_by_hom_criterion(q, z_simples):
+def _semistable_by_hom_criterion(q, z_simples, hom):
     """Scan by decreasing phase: M is semistable iff no semistable N of
     strictly larger phase has Hom(N, M) != 0."""
-    cat = catalog_for(q)
     ph = _phases(q, z_simples)
     keep = set()
     for m in sorted(ph, key=lambda i: -ph[i]):
-        if not any(ph[n] > ph[m] + PHASE_TOL and cat.hom_dim(n, m) > 0 for n in keep):
+        if not any(ph[n] > ph[m] + PHASE_TOL and hom(n, m) > 0 for n in keep):
             keep.add(m)
     return keep
 
@@ -160,7 +163,7 @@ def test_semistable_sets_match_oracles(text):
     for sigma in sigmas:
         got = {r.ident for r in sigma.records}
         assert got == _semistable_by_subobjects(q, sigma.z_simples, mono)
-        assert got == _semistable_by_hom_criterion(q, sigma.z_simples)
+        assert got == _semistable_by_hom_criterion(q, sigma.z_simples, cat.hom_dim)
 
 
 def test_gepner_check_rejects_wrong_rotation():
@@ -377,6 +380,44 @@ def test_restriction_of_gepner_point():
     assert gldim(flipped) <= gldim(sigma) + 1e-12
     full = restrict_to_subquiver(sigma, (1, 2, 3))
     assert full.z_simples == sigma.z_simples
+
+
+@pytest.mark.parametrize("text", ["A5", "D5", "D6", "E6"])
+def test_restriction_of_rotated_gepner_points(text):
+    # a rotation by 0 < mu < the least simple phase keeps every simple
+    # charge in the heart window, so each restriction is defined
+    q = parse_quiver(text)
+    gepner = gepner_construct(q)
+    least = min(cmath.phase(z) for z in gepner.z_simples) / math.pi
+    degree = [0] * (q.n + 1)
+    for u, v in q.undirected_edges():
+        degree[u] += 1
+        degree[v] += 1
+    # dropping a leaf of the tree leaves a connected subquiver
+    subsets = [[v for v in range(1, q.n + 1) if v != leaf]
+               for leaf in range(1, q.n + 1) if degree[leaf] == 1]
+    hom = {}
+    for mu in (least / 4, least / 2, 3 * least / 4):
+        sigma = act(gepner, mu)
+        g = gldim(sigma)
+        assert g < 1.0
+        for subset in subsets:
+            sub = restrict_to_subquiver(sigma, subset)
+            key = sub.quiver.text()
+            if key not in hom:
+                reps = catalog_reps(catalog_for(sub.quiver))
+                hom[key] = [[sdlab.reps.hom_dim(a, b) for b in reps] for a in reps]
+            oracle = _semistable_by_hom_criterion(sub.quiver, sub.z_simples,
+                                                  lambda a, b: hom[key][a][b])
+            assert {r.ident for r in sub.records} == oracle
+            assert gldim(sub) <= g + 1e-12
+
+
+def test_gepner_point_of_d20():
+    q = parse_quiver("D20")
+    sigma = gepner_construct(q)
+    assert abs(gldim(sigma) - 36 / 38) < 1e-9
+    assert gepner_check(sigma, 36 / 38).verdict
 
 
 def test_restriction_guards():
