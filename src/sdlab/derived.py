@@ -2,9 +2,9 @@
 
 Over a hereditary algebra every object splits into shifts of modules, so a
 finite multiset of (catalog id, shift) pairs is a faithful model.  The Serre
-functor acts summand by summand through the catalog's step maps, and
-`serre_orbit` walks S^n X level by level.  Hom Poincare data comes from the
-catalog's pairwise Euler form with degree bookkeeping.
+functor acts summand by summand through the catalog's step maps, up to the
+first return S^p X = X[k].  Hom Poincare data comes from the catalog's
+pairwise Euler form with degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -45,35 +45,58 @@ def _step_each(step, pairs) -> list[tuple[int, int]]:
     """One Serre step on every summand, in the given order.  Off Dynkin
     quivers a step may create a virtual catalog entry, whose id is its
     creation rank, so the order is part of the result."""
-    out = []
-    for ident, k in pairs:
-        ident2, delta = step(ident)
-        out.append((ident2, k + delta))
-    return out
+    images = [step(ident) for ident, _ in pairs]
+    return [(ident2, k + delta) for (ident2, delta), (_, k) in zip(images, pairs)]
+
+
+def _return_shift(first, pairs) -> int | None:
+    """k when the sorted `pairs` are `first` with every shift moved by k."""
+    k = pairs[0][1] - first[0][1] if first else 0
+    return k if all(a == b and s == t + k for (a, s), (b, t) in zip(pairs, first)) else None
 
 
 def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
-    """S^power applied summand by summand; negative powers use the inverse."""
+    """S^power summand by summand, by the inverse for negative powers; the
+    rest of the power is reduced modulo the first return, S^(qp + r) X = S^r X[qk]."""
     cat = catalog_for(x.quiver)
     step = cat.serre_step if power >= 0 else cat.serre_inv_step
     pairs = list(x.summands)
-    for _ in range(abs(power)):
+    for p in range(1, abs(power) + 1):
         pairs = _step_each(step, pairs)
+        if (k := _return_shift(x.summands, sorted(pairs))) is not None:
+            q, r = divmod(abs(power), p)
+            return serre_apply(x.shift(q * k), r if power > 0 else -r)
     return DerivedObject.create(x.quiver, pairs)
 
 
-def serre_orbit(x: DerivedObject, n_max: int):
-    """The summands of S^n X for n = 0..n_max, each level sorted as
-    `DerivedObject.create` sorts, so level n equals serre_apply(x, n).summands.
-    One walk serves every level: level n + 1 is stepped from level n only when
-    it is asked for, so a CatalogMiss surfaces after level n has been read and
-    nothing is stepped past n_max."""
+def serre_walk(x: DerivedObject, n_max: int):
+    """(summands of S^n X, k) for n = 0..n_max, sorted as `DerivedObject.create`
+    sorts and stepped only when asked for, so a CatalogMiss surfaces after
+    level n - 1 is read.  k is None up to the first return p, where the walk
+    ends: level p is level 0 with every shift moved by k, S^p X = X[k].  On a
+    Dynkin quiver p <= h as S^h = [h - 2]; other connected quivers have none."""
     cat = catalog_for(x.quiver)
     pairs = x.summands
-    yield pairs
+    yield pairs, None
     for _ in range(n_max):
         pairs = tuple(sorted(_step_each(cat.serre_step, pairs)))
-        yield pairs
+        k = _return_shift(x.summands, pairs)
+        yield pairs, k
+        if k is not None:
+            return
+
+
+def serre_orbit(x: DerivedObject, n_max: int):
+    """The summands of S^n X for n = 0..n_max, as serre_apply(x, n).summands:
+    `serre_walk` to its first return p, then level n % p shifted by (n // p) k."""
+    levels = []
+    for pairs, k in serre_walk(x, n_max):
+        if k is None:
+            levels.append(pairs)
+            yield pairs
+    p = len(levels)
+    for n in range(p, n_max + 1):
+        yield tuple((i, s + n // p * k) for i, s in levels[n % p])
 
 
 def hom_poincare(x: DerivedObject, y: DerivedObject) -> dict[int, int]:

@@ -3,10 +3,10 @@
 The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
 generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
 level n is the total dimension of each summand N[b] of S^n G, added at
-m = -b: one walk of the projectives' Serre orbits gives every level, and no
-pairwise Euler form is read.  Entropy at parameter t is the growth rate of
-f_n(t) = sum_m dim * exp(-m t); `growth_rate` fits a + b/n over a
-deterministic subsequence and reports the extrapolated intercept.
+m = -b, and past the first return S^p G = G[k] level n is level n - p with
+every m moved by -k; no pairwise Euler form is read.  Entropy at parameter t
+is the growth rate of f_n(t) = sum_m dim * exp(-m t); `growth_rate` fits
+a + b/n over a deterministic subsequence and reports the extrapolated intercept.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import catalog_for
-from .derived import require_nonzero, serre_orbit, standard_generator
+from .derived import require_nonzero, serre_walk, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
 from .quivers import Quiver, classify_dynkin
 
@@ -29,27 +29,35 @@ def log_sum_exp(terms) -> float:
     single exp overflows; ConfigError when the sum leaves the float range."""
     vals = list(terms)
     top = max(vals)
-    total = top + math.log(sum(math.exp(v - top) for v in vals))
+    # one term is its own sum: top + log(exp(0)) is top + 0.0, bit for bit
+    total = top + (math.log(sum(math.exp(v - top) for v in vals)) if len(vals) > 1 else 0.0)
     if not math.isfinite(total):
         raise ConfigError("log-sum-exp leaves the float range; use a smaller |t|")
     return total
 
 
 class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_plus")):
-    __slots__ = ()
+    # no __slots__: each series keeps its caches in its instance dict
     quiver: Quiver
     n_max: int
     levels: tuple  # levels[n] is a dict m -> dim Hom(G, S^n G[m])
     m_minus: tuple  # -min support per n
     m_plus: tuple  # -max support per n
 
+    @functools.cached_property
+    def logs(self) -> dict:
+        """log dim for each dimension in the levels, computed once."""
+        return {d: math.log(d) for lev in self.levels for d in lev.values()}
+
     def log_f(self, n: int, t: float) -> float:
-        """log f_n(t) via a log-sum-exp, safe for large |m t|."""
-        return log_sum_exp(math.log(d) - m * t for m, d in self.levels[n].items())
+        """log f_n(t) via a log-sum-exp over `logs`, safe for large |m t|."""
+        return log_sum_exp(self.logs[d] - m * t for m, d in self.levels[n].items())
 
 
 @functools.lru_cache(maxsize=64)
 def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
+    """The levels off `serre_walk`; past its first return p, level n is level
+    n - p with every key moved by -k, in the same order, so log_f keeps its bits."""
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     if budget < 1:
@@ -62,17 +70,15 @@ def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> Entro
     # projective of G that maps to it, and the stable sort keeps the summand
     # order among ties.
     tops = [cat.entries[i].proj_vertex - 1 for i, _ in g.summands]
-    rank: dict[int, int] = {}
 
     def first_hom(pair) -> int:
-        ident = pair[0]
-        if ident not in rank:
-            dim = cat.entries[ident].dim_vector
-            rank[ident] = next(j for j, v in enumerate(tops) if dim[v])
-        return rank[ident]
+        dim = cat.entries[pair[0]].dim_vector
+        return next(j for j, v in enumerate(tops) if dim[v])
 
-    levels, mins, maxs = [], [], []
-    for n, pairs in enumerate(serre_orbit(g, n_max)):
+    levels = []
+    for n, (pairs, k) in enumerate(serre_walk(g, n_max)):
+        if k is not None:
+            break
         lev: dict[int, int] = {}
         for ident, b in sorted(pairs, key=first_hom):
             lev[-b] = lev.get(-b, 0) + sum(cat.entries[ident].dim_vector)
@@ -82,9 +88,11 @@ def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> Entro
                 "hom dimensions reached %d at n=%d (budget %d)" % (total, n, budget)
             )
         levels.append(lev)
-        mins.append(-min(lev))
-        maxs.append(-max(lev))
-    return EntropySeries(q, n_max, tuple(levels), tuple(mins), tuple(maxs))
+    p = len(levels)
+    for n in range(p, n_max + 1):
+        levels.append({m - k: d for m, d in levels[n - p].items()})
+    return EntropySeries(q, n_max, tuple(levels), tuple(-min(lev) for lev in levels),
+                         tuple(-max(lev) for lev in levels))
 
 
 def tail_window(n_max: int) -> range:
@@ -115,9 +123,15 @@ def entropy_estimate(
     q: Quiver, t: float, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Categorical entropy h_t of the Serre functor, extrapolated from the
-    series by `growth_rate`."""
+    series by `growth_rate` once per t and series."""
     series = entropy_series(q, n_max, budget)
-    return growth_rate(q, n_max, lambda n: series.log_f(n, t))
+    memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
+    h = memo.get(t)
+    if h is None:
+        h = growth_rate(q, n_max, lambda n: series.log_f(n, t))
+        if len(memo) < 64:
+            memo[t] = h
+    return h
 
 
 class SerreDims(namedtuple("SerreDims", "upper lower exact")):

@@ -4,11 +4,16 @@ from fractions import Fraction
 import pytest
 
 import sdlab.catalog
+import sdlab.entropy
 from sdlab import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     ConfigError,
+    DerivedObject,
     EmptyGrid,
     IndecCatalog,
+    catalog_for,
+    classify_dynkin,
     entropy_estimate,
     entropy_profile,
     entropy_series,
@@ -21,6 +26,8 @@ from sdlab import (
     standard_generator,
     volume,
 )
+from sdlab.derived import serre_orbit
+from sdlab.entropy import growth_rate
 
 A2 = parse_quiver("A2")
 K2 = parse_quiver("K2")
@@ -94,6 +101,129 @@ def test_budget_below_one_is_a_config_error():
         entropy_series(A2, 30, 2)
 
 
+def stepped_levels(x, n, inverse=False):
+    """The summands of S^j X (S^-j X with `inverse`) for j = 0..n, sorted:
+    every summand stepped by the catalog n times, with no period shortcut."""
+    cat = catalog_for(x.quiver)
+    step = cat.serre_inv_step if inverse else cat.serre_step
+    pairs = list(x.summands)
+    levels = [tuple(sorted(pairs))]
+    for _ in range(n):
+        pairs = [(j, k + d) for i, k in pairs for j, d in [step(i)]]
+        levels.append(tuple(sorted(pairs)))
+    return levels
+
+
+def first_return(levels):
+    """The least p >= 1 with level p = level 0 shifted uniformly, or None."""
+    for p, lev in enumerate(levels[1:], start=1):
+        shifts = {s - t for (_, s), (_, t) in zip(lev, levels[0])}
+        if [i for i, _ in lev] == [i for i, _ in levels[0]] and len(shifts) == 1:
+            return p
+    return None
+
+
+def stepped_series_levels(q, n):
+    """Level j of the series off the stepped orbit, by the pairwise
+    `hom_poincare`: the reference, key order included."""
+    g = standard_generator(q)
+    return [hom_poincare(g, DerivedObject.create(q, lev)) for lev in stepped_levels(g, n)]
+
+
+DYNKIN_PERIOD = ("A4", "A8", "D6", "D8", "E6", "E7", "E8")
+MORE_QUIVERS = {
+    "K2": "K2",
+    "A~2": "vertices:3; arrows:1->2,2->3,1->3",
+    "D~4": "vertices:5; arrows:2->1,3->1,4->1,5->1",
+    "A4-linear": "vertices:4; arrows:1->2,2->3,3->4",  # Dynkin, not bipartite
+    "A2+A2": "vertices:4; arrows:1->2,3->4",  # disconnected, yet with a period
+}
+
+
+def _period_cases():
+    for name in DYNKIN_PERIOD:
+        q = parse_quiver(name)
+        h = classify_dynkin(q).coxeter_number
+        p = first_return(stepped_levels(standard_generator(q), h))
+        assert p is not None and p <= h
+        for n in sorted({p - 1, p, p + 1, h, 2 * h + 3, 240} - {0}):
+            yield pytest.param(name, n, id="%s-%d" % (name, n))
+    for name, text in MORE_QUIVERS.items():
+        yield pytest.param(text, 240, id="%s-240" % name)
+
+
+@pytest.mark.parametrize("text,n", list(_period_cases()))
+def test_orbit_apply_and_series_match_the_stepped_oracle(text, n):
+    q = parse_quiver(text)
+    g = standard_generator(q)
+    forward = stepped_levels(g, n)
+    assert list(serre_orbit(g, n)) == forward
+    assert serre_apply(g, n).summands == forward[n]
+    assert serre_apply(g, -n).summands == stepped_levels(g, n, inverse=True)[n]
+    expect = stepped_series_levels(q, n)
+    series = entropy_series(q, n)
+    for got, want in zip(series.levels, expect, strict=True):
+        assert list(got.items()) == list(want.items())
+    assert series.m_minus == tuple(-min(lev) for lev in expect)
+    assert series.m_plus == tuple(-max(lev) for lev in expect)
+
+
+def test_serre_powers_of_mixed_objects_match_the_stepped_oracle():
+    # several orbits and shifts in one object, both directions, past the period
+    for name in ("A4", "D6", "E7"):
+        q = parse_quiver(name)
+        size = catalog_for(q).size()
+        x = DerivedObject.create(q, [(0, 2), (size // 2, -1), (size - 1, 0), (size - 1, 3)])
+        forward, backward = stepped_levels(x, 75), stepped_levels(x, 75, inverse=True)
+        assert list(serre_orbit(x, 75)) == forward
+        for n in (1, 17, 40, 75):
+            assert serre_apply(x, n).summands == forward[n]
+            assert serre_apply(x, -n).summands == backward[n]
+    zero = DerivedObject.create(parse_quiver("E6"), [])
+    assert serre_apply(zero, 9) == zero and list(serre_orbit(zero, 3)) == [()] * 4
+
+
+@pytest.mark.parametrize("text", (
+    "vertices:5; arrows:1->2,3->4,4->5",
+    "vertices:5; arrows:1->2,2->3,4->5",
+))
+def test_components_returning_with_different_shifts_are_no_period(text):
+    # on A2 + A3 the ids of G come back at n = 12, but shifted by 4 on A2
+    # and by 6 on A3: no level repeats with one shift, so all are stepped
+    q = parse_quiver(text)
+    g = standard_generator(q)
+    forward = stepped_levels(g, 40)
+    assert sorted(i for i, _ in forward[12]) == sorted(i for i, _ in forward[0])
+    assert first_return(forward) is None
+    assert list(serre_orbit(g, 40)) == forward
+    assert serre_apply(g, 40).summands == forward[40]
+    assert serre_apply(g, -40).summands == stepped_levels(g, 40, inverse=True)[40]
+    levels = entropy_series(q, 40).levels
+    assert [list(lev.items()) for lev in levels] == [
+        list(lev.items()) for lev in stepped_series_levels(q, 40)]
+
+
+def test_serre_orbit_steps_only_its_first_period(monkeypatch):
+    q = parse_quiver("E8")
+    g = standard_generator(q)
+    cat = catalog_for(q)
+    p = first_return(stepped_levels(g, 30))
+    calls = []
+    real = cat.serre_step
+
+    def counted(ident):
+        calls.append(ident)
+        return real(ident)
+
+    monkeypatch.setattr(cat, "serre_step", counted)
+    levels = list(serre_orbit(g, 240))
+    assert len(levels) == 241
+    assert len(calls) <= p * g.total_summands()
+    calls.clear()
+    serre_apply(g, 240)
+    assert len(calls) < 2 * p * g.total_summands()
+
+
 ORACLE_QUIVERS = (
     "A4", "D6", "E8", "K2",
     "vertices:3; arrows:1->2,2->3,1->3",
@@ -104,16 +234,94 @@ ORACLE_QUIVERS = (
 
 @pytest.mark.parametrize("text", ORACLE_QUIVERS)
 def test_series_levels_match_pairwise_hom_poincare(text):
-    # The pairwise path is the reference, key order included: log_f sums
-    # its terms in dict order, so the order fixes the float bits.
+    # The pairwise path on the stepped orbit is the reference, key order
+    # included: log_f sums its terms in dict order, so the order fixes the
+    # float bits.
     q = parse_quiver(text)
     series = entropy_series(q, 60)
-    g = standard_generator(q)
-    for n in range(61):
-        expect = hom_poincare(g, serre_apply(g, n))
+    for n, expect in enumerate(stepped_series_levels(q, 60)):
         assert list(series.levels[n].items()) == list(expect.items())
         assert series.m_minus[n] == -min(expect)
         assert series.m_plus[n] == -max(expect)
+
+
+ESTIMATOR_QUIVERS = (
+    "A4", "A8", "D6", "D8", "E6", "E7", "E8", "K2",
+    "vertices:3; arrows:1->2,2->3,1->3",
+    "vertices:5; arrows:2->1,3->1,4->1,5->1",
+)
+
+
+def plain_log_sum_exp(vals):
+    top = max(vals)
+    return top + math.log(sum(math.exp(v - top) for v in vals))
+
+
+@pytest.mark.parametrize("text", ESTIMATOR_QUIVERS)
+def test_estimates_are_bit_identical_to_the_plain_chain(text):
+    # stepwise levels, then a log-sum-exp over every term, then growth_rate
+    q = parse_quiver(text)
+    levels = stepped_series_levels(q, 240)
+    for n_max in (30, 60, 120, 240):
+        for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            want = growth_rate(q, n_max, lambda n: plain_log_sum_exp(
+                [math.log(d) - m * t for m, d in levels[n].items()]))
+            assert entropy_estimate(q, t, n_max).hex() == want.hex()
+
+
+@pytest.mark.parametrize("name", ("K3", "K4", "K5"))
+def test_wild_kroneckers_exceed_the_budget_where_the_stepped_orbit_does(name):
+    q = parse_quiver(name)
+    totals = [sum(lev.values()) for lev in stepped_series_levels(q, 30)]
+    n = next(j for j, total in enumerate(totals) if total > DEFAULT_BUDGET)
+    message = "hom dimensions reached %d at n=%d (budget %d)" % (totals[n], n, DEFAULT_BUDGET)
+    for n_max in (30, 60, 120, 240):
+        with pytest.raises(BudgetExceeded) as err:
+            entropy_estimate(q, 0.0, n_max)
+        assert str(err.value) == message
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The `growth_rate` calls of `entropy_estimate`, from an empty series cache."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return growth_rate(*args)
+
+    monkeypatch.setattr(sdlab.entropy, "growth_rate", counted)
+    entropy_series.cache_clear()
+    return calls
+
+
+def test_each_estimate_is_fitted_once_per_series(fits):
+    q = parse_quiver("E7")
+    same = [entropy_estimate(q, 1, 30), entropy_estimate(q, 1.0, 30),
+            entropy_estimate(q, t=1.0, n_max=30), entropy_estimate(q, 1.0, 30, DEFAULT_BUDGET)]
+    assert len({h.hex() for h in same}) == 1 and len(fits) == 1
+    assert entropy_estimate(q, -0.0, 30).hex() == entropy_estimate(q, 0.0, 30).hex()
+    assert len(fits) == 2
+    entropy_profile(q, (-1.0, 0.0, 1.0), 30)
+    assert len(fits) == 3
+    # clearing the series cache leaves no estimate behind
+    entropy_series.cache_clear()
+    assert entropy_estimate(q, 1.0, 30).hex() == same[0].hex()
+    assert len(fits) == 4 and entropy_series.cache_info().misses == 1
+
+
+def test_series_caches_are_bounded(fits):
+    q = parse_quiver("K2")
+    ts = [j / 8.0 for j in range(100)]
+    hs = [entropy_estimate(q, t, 30) for t in ts]
+    assert len(fits) == 100
+    # the first 64 values of t are kept, the rest are fitted on every call
+    assert [entropy_estimate(q, t, 30) for t in ts] == hs
+    assert len(fits) == 136
+    series = entropy_series(q, 30, DEFAULT_BUDGET)  # the key the estimates use
+    assert len(vars(series)["estimates"]) == 64
+    assert set(series.logs) == {d for lev in series.levels for d in lev.values()}
+    assert entropy_series.cache_info().maxsize == 64
 
 
 def test_entropy_chain_reads_no_pairwise_table(monkeypatch):

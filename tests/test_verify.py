@@ -8,6 +8,7 @@ from sdlab.cli import main
 from sdlab.stability import GepnerReport
 from sdlab.verify import (
     check_coxeter_tau_action,
+    check_dynkin_periodicity,
     check_gepner_points,
     check_serre_duality_modules,
     run_all,
@@ -116,3 +117,18 @@ def test_accepted_jitter_off_the_c_action_fails(monkeypatch):
     result = check_gepner_points([(name, q, dyn, sdlab.verify.gepner_construct(q))], 10, 1)
     assert not result.passed
     assert "A3: jitter 0 accepted" in result.detail
+
+
+def test_periodicity_row_steps_serre_by_hand(monkeypatch):
+    # serre_apply reads powers off the period S^h G = G[h-2], so the row
+    # that checks the period must step S itself
+    def no_apply(*args):
+        raise AssertionError("serre_apply")
+
+    monkeypatch.setattr(sdlab.verify, "serre_apply", no_apply)
+    dynkin = [row for name in ("A4", "D6", "E6", "E7", "E8") for row in _dynkin(name)]
+    good = check_dynkin_periodicity(dynkin)
+    assert good.passed and good.detail == "failures: none"
+    name, q, dyn = dynkin[-1]
+    bad = check_dynkin_periodicity([(name, q, dyn._replace(coxeter_number=dyn.coxeter_number + 1))])
+    assert not bad.passed and bad.detail == "failures: ['E8']"
