@@ -41,49 +41,40 @@ def standard_generator(q: Quiver) -> DerivedObject:
     return DerivedObject.create(q, [(i, 0) for i in cat.proj_ids])
 
 
-def _step_each(step, pairs) -> list[tuple[int, int]]:
-    """One Serre step on every summand, in the given order.  Off Dynkin
-    quivers a step may create a virtual catalog entry, whose id is its
-    creation rank, so the order is part of the result."""
-    images = [step(ident) for ident, _ in pairs]
-    return [(ident2, k + delta) for (ident2, delta), (_, k) in zip(images, pairs)]
-
-
 def _return_shift(first, pairs) -> int | None:
     """k when the sorted `pairs` are `first` with every shift moved by k."""
     k = pairs[0][1] - first[0][1] if first else 0
     return k if all(a == b and s == t + k for (a, s), (b, t) in zip(pairs, first)) else None
 
 
-def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
-    """S^power summand by summand, by the inverse for negative powers; the
-    rest of the power is reduced modulo the first return, S^(qp + r) X = S^r X[qk]."""
+def serre_walk(x: DerivedObject, n: int):
+    """(summands of S^j X, k) for j = 0..|n|, by S^-1 when n < 0, sorted as
+    `DerivedObject.create` sorts and stepped only when asked for, so a
+    CatalogMiss surfaces after level j - 1 is read.  k is None up to the
+    first return p, where the walk ends: S^(+-p) X = X[k].  On a Dynkin
+    quiver p <= h as S^h = [h - 2]; other connected quivers have none."""
     cat = catalog_for(x.quiver)
-    step = cat.serre_step if power >= 0 else cat.serre_inv_step
-    pairs = list(x.summands)
-    for p in range(1, abs(power) + 1):
-        pairs = _step_each(step, pairs)
-        if (k := _return_shift(x.summands, sorted(pairs))) is not None:
-            q, r = divmod(abs(power), p)
-            return serre_apply(x.shift(q * k), r if power > 0 else -r)
-    return DerivedObject.create(x.quiver, pairs)
-
-
-def serre_walk(x: DerivedObject, n_max: int):
-    """(summands of S^n X, k) for n = 0..n_max, sorted as `DerivedObject.create`
-    sorts and stepped only when asked for, so a CatalogMiss surfaces after
-    level n - 1 is read.  k is None up to the first return p, where the walk
-    ends: level p is level 0 with every shift moved by k, S^p X = X[k].  On a
-    Dynkin quiver p <= h as S^h = [h - 2]; other connected quivers have none."""
-    cat = catalog_for(x.quiver)
+    step = cat.serre_step if n >= 0 else cat.serre_inv_step
     pairs = x.summands
     yield pairs, None
-    for _ in range(n_max):
-        pairs = tuple(sorted(_step_each(cat.serre_step, pairs)))
+    for _ in range(abs(n)):
+        pairs = tuple(sorted((j, s + d) for i, s in pairs for j, d in [step(i)]))
         k = _return_shift(x.summands, pairs)
         yield pairs, k
         if k is not None:
             return
+
+
+def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
+    """S^power X, by the inverse for negative powers, read off `serre_walk`:
+    past its first return p, S^(qp + r) X = S^r X[qk]."""
+    levels = []
+    for pairs, k in serre_walk(x, power):
+        if k is not None:
+            q, r = divmod(abs(power), len(levels))
+            return DerivedObject(x.quiver, levels[r]).shift(q * k)
+        levels.append(pairs)
+    return DerivedObject(x.quiver, levels[-1])
 
 
 def serre_orbit(x: DerivedObject, n_max: int):

@@ -296,10 +296,10 @@ def gepner_construct(q: Quiver) -> StabilityCondition:
 
     The charge vector must be a left eigenvector of the K-theory Serre
     action for the eigenvalue exp(i pi (h-2)/h); candidate global rotations
-    place one coordinate on the negative real axis in turn, and the first
-    rotation (ordered by angle) keeping every charge in the closed upper
-    half plane wins.  If no rotation does, the heart itself obstructs and
-    HeartMismatch reports it.
+    place one coordinate on the negative real axis in turn, charges within
+    1e-9 of the real axis are snapped onto it, and the first rotation
+    (ordered by angle) that `make_stability` accepts wins.  If none does,
+    the heart itself obstructs and HeartMismatch reports it.
     """
     dyn = classify_dynkin(q)
     if dyn is None:
@@ -314,12 +314,8 @@ def gepner_construct(q: Quiver) -> StabilityCondition:
     idx = int(np.argmin(np.abs(vals - target)))
     if abs(vals[idx] - target) > 1e-6:
         raise AssertionError("expected Coxeter eigenvalue is missing")
-    w = vecs[:, idx]
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        raise HeartMismatch("degenerate eigenvector")
-    w = w / scale
-    tol = 1e-9
+    w = vecs[:, idx]  # unit norm, so the largest coordinate is nonzero
+    w = w / float(np.max(np.abs(w)))
     thetas = []
     for wi in w:
         if abs(wi) < 1e-12:
@@ -329,20 +325,11 @@ def gepner_construct(q: Quiver) -> StabilityCondition:
             thetas.append(theta)
     for theta in sorted(thetas):
         z = [cmath.exp(1j * theta) * complex(wi) for wi in w]
-        snapped = []
-        ok = True
-        for zi in z:
-            if abs(zi.imag) <= tol:
-                zi = complex(zi.real, 0.0)
-                if zi.real >= 0:
-                    ok = False
-                    break
-            elif zi.imag < 0:
-                ok = False
-                break
-            snapped.append(zi)
-        if ok:
-            return make_stability(q, snapped)
+        z = [complex(zi.real, 0.0) if abs(zi.imag) <= 1e-9 else zi for zi in z]
+        try:
+            return make_stability(q, z)
+        except NotAStabilityFunction:
+            continue
     raise HeartMismatch(
         "no global rotation places every simple charge in the heart window"
     )
@@ -417,8 +404,9 @@ def extract_exceptional_collection(sigma: StabilityCondition):
 
 def restrict_to_subquiver(sigma: StabilityCondition, subset) -> StabilityCondition:
     """Restriction to the full subquiver on `subset`: keep those charges and
-    rebuild.  Valid when the ambient global dimension is at most 1 (so the
-    subcategory inherits the heart cleanly) and the subset is connected."""
+    rebuild on its standard heart.  Needs ambient global dimension at most 1
+    and a connected subset; a rotated condition whose restricted charges
+    leave the closed upper half plane raises NotAStabilityFunction."""
     q = sigma.quiver
     vs = sorted({int(v) for v in subset})
     if not vs or vs[0] < 1 or vs[-1] > q.n:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .catalog import catalog_for
 from .curves import CurveStability, curve_gldim, curve_gldim_bounds, shift_gap_grid
@@ -260,8 +259,10 @@ def check_all_semistable_small_gldim(points) -> CheckResult:
 
 
 def check_exceptional_collections(points) -> CheckResult:
-    """Extraction yields a full strong collection: unitriangular Gram matrix
-    with unit diagonal and determinant +-1 in K-theory."""
+    """Extraction yields a full strong collection: an upper unitriangular
+    Gram matrix chi(E_i, E_j), each map in the degree its sign gives.  The
+    Gram matrix is D E D^T with D the dimension vectors, and E = I - A is
+    unipotent for an acyclic quiver, so det D = +-1: a basis of K-theory."""
     bad = []
     for name, q, _, sigma in points:
         if gldim(sigma) >= 1.0 - 1e-9:
@@ -271,7 +272,6 @@ def check_exceptional_collections(points) -> CheckResult:
         if len(coll) != q.n:
             bad.append("%s: wrong length" % name)
             continue
-        dims = [cat.entries[i].dim_vector for i, _ in coll]
         rows = cat.chi_rows()
         gram = [[rows[a][b] for b, _ in coll] for a, _ in coll]
         for i in range(q.n):
@@ -280,9 +280,6 @@ def check_exceptional_collections(points) -> CheckResult:
             for j in range(i):
                 if gram[i][j] != 0:
                     bad.append("%s: not unitriangular" % name)
-        det = _int_det([list(d) for d in dims])
-        if abs(det) != 1:
-            bad.append("%s: det %d" % (name, det))
         for idx1, (a, ka) in enumerate(coll):
             for idx2, (b, kb) in enumerate(coll):
                 if idx1 == idx2:
@@ -296,32 +293,6 @@ def check_exceptional_collections(points) -> CheckResult:
         "stable-exceptional-collection", not bad, float(not bad),
         "failures: %s" % (bad if bad else "none"),
     )
-
-
-def _int_det(rows) -> int:
-    """Determinant by exact elimination over Fractions; 0 when singular."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r2 in range(c, n):
-            if a[r2][c] != 0:
-                piv = r2
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for r2 in range(c + 1, n):
-            if a[r2][c]:
-                f = a[r2][c] * inv
-                a[r2] = [x - f * y for x, y in zip(a[r2], a[c])]
-    assert det.denominator == 1
-    return int(det)
 
 
 def check_serre_image_phase_window(points) -> CheckResult:
@@ -346,14 +317,14 @@ def check_serre_image_phase_window(points) -> CheckResult:
     )
 
 
-def check_mass_growth_vs_entropy(points, n_max=30) -> CheckResult:
+def check_mass_growth_vs_entropy(points) -> CheckResult:
     """Mass growth of S^n G under sigma never exceeds categorical entropy."""
     worst = math.inf
     ts = [-1.0, 0.0, 0.5, 1.0, 2.0]
     for _, q, _, sigma in points:
-        mg = mass_growth(sigma, ts, n_max)
+        mg = mass_growth(sigma, ts)
         for t, rate in zip(ts, mg.rates):
-            h = entropy_estimate(q, t, n_max)
+            h = entropy_estimate(q, t)
             worst = min(worst, h - rate + 1e-6)
     return _result(
         "mass-growth-le-entropy", worst >= 0.0, worst,
@@ -361,15 +332,15 @@ def check_mass_growth_vs_entropy(points, n_max=30) -> CheckResult:
     )
 
 
-def check_volume_scaling(points, n_max=30) -> CheckResult:
+def check_volume_scaling(points) -> CheckResult:
     """exp(mass growth at log lambda) matches the volume estimator on
     fractional Calabi-Yau points."""
     worst = 0.0
     for _, q, _, sigma in points:
         for lam in (0.5, 2.0, 8.0):
-            mg = mass_growth(sigma, [math.log(lam)], n_max)
+            mg = mass_growth(sigma, [math.log(lam)])
             v1 = math.exp(mg.rates[0])
-            v2 = volume(q, lam, n_max)
+            v2 = volume(q, lam)
             worst = max(worst, abs(v1 - v2))
     return _result(
         "sigma-volume-scaling", worst <= 1e-6, 1e-6 - worst,
@@ -470,11 +441,11 @@ def check_curve_shift_sup() -> CheckResult:
     )
 
 
-def check_sdim_window(dynkin, n_max=30) -> CheckResult:
+def check_sdim_window(dynkin) -> CheckResult:
     """Windowed Serre-dimension estimates bracket the exact Dynkin value."""
     worst = math.inf
     for _, q, _ in dynkin:
-        sd = sdim_estimate(q, n_max)
+        sd = sdim_estimate(q)
         exact = float(sd.exact)
         worst = min(
             worst,

@@ -1,8 +1,6 @@
 """The integer catalog against the exact representation oracle, over random
 orientations of Dynkin trees."""
 
-import itertools
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +15,8 @@ from sdlab.reps import (
     injective_rep,
     projective_rep,
 )
+
+from orientations import every_orientation, oriented
 
 # largest first: the first example hypothesis tries is then E6
 SHAPES = ["E6"] + ["D%d" % n for n in range(7, 3, -1)] + ["A%d" % n for n in range(7, 1, -1)]
@@ -99,19 +99,13 @@ def test_serre_steps_round_trip_along_orbits(text):
                 _assert_round_trip(cat, ident)
 
 
-def _oriented(text, flips):
-    edges = parse_quiver(text).undirected_edges()
-    return Quiver(len(edges) + 1, tuple((v, u) if f else (u, v) for (u, v), f in zip(edges, flips)))
-
-
 def _table_quivers():
     """The presets, every orientation of A4 and D5, and 5 seeded ones of E6."""
     presets = ["A%d" % n for n in range(1, 9)] + ["D%d" % n for n in range(4, 9)]
     quivers = [parse_quiver(text) for text in presets + ["E6", "E7", "E8"]]
-    for text, edges in (("A4", 3), ("D5", 4)):
-        quivers += [_oriented(text, flips) for flips in itertools.product((0, 1), repeat=edges)]
+    quivers += every_orientation("A4") + every_orientation("D5")
     gen = SplitMix64(fold_seed("chi-table", "E6"))
-    quivers += [_oriented("E6", [gen.next_int(0, 1) for _ in range(5)]) for _ in range(5)]
+    quivers += [oriented("E6", [gen.next_int(0, 1) for _ in range(5)]) for _ in range(5)]
     return quivers
 
 

@@ -29,6 +29,8 @@ from sdlab import (
 from sdlab.derived import serre_orbit
 from sdlab.entropy import growth_rate
 
+from orientations import every_orientation
+
 A2 = parse_quiver("A2")
 K2 = parse_quiver("K2")
 K3 = parse_quiver("K3")
@@ -170,15 +172,25 @@ def test_orbit_apply_and_series_match_the_stepped_oracle(text, n):
 
 def test_serre_powers_of_mixed_objects_match_the_stepped_oracle():
     # several orbits and shifts in one object, both directions, past the period
-    for name in ("A4", "D6", "E7"):
-        q = parse_quiver(name)
-        size = catalog_for(q).size()
-        x = DerivedObject.create(q, [(0, 2), (size // 2, -1), (size - 1, 0), (size - 1, 3)])
+    presets = [parse_quiver(text) for text in ("A4", "D6", "E7", "K2", MORE_QUIVERS["A~2"])]
+    for q in presets + every_orientation("A4") + every_orientation("D5"):
+        cat, dyn = catalog_for(q), classify_dynkin(q)
+        # off Dynkin the catalog grows as it is walked: pick flagged entries
+        first, mid, last = (0, cat.size() // 2, cat.size() - 1) if dyn else (
+            cat.proj_ids[0], cat.inj_ids[-1], cat.proj_ids[-1])
+        x = DerivedObject.create(q, [(first, 2), (mid, -1), (last, 0), (last, 3)])
+        h = dyn.coxeter_number if dyn else 6  # off Dynkin nothing returns; h, p pick powers
         forward, backward = stepped_levels(x, 75), stepped_levels(x, 75, inverse=True)
+        p = first_return(forward) or h
         assert list(serre_orbit(x, 75)) == forward
-        for n in (1, 17, 40, 75):
+        powers = {1, p - 1, p, p + 1, 2 * h + 3}
+        for n in powers | {17, 40, 75}:
             assert serre_apply(x, n).summands == forward[n]
             assert serre_apply(x, -n).summands == backward[n]
+        signed = [s * n for n in powers for s in (1, -1)]
+        for a in signed:
+            for b in signed:
+                assert serre_apply(serre_apply(x, a), b) == serre_apply(x, a + b)
     zero = DerivedObject.create(parse_quiver("E6"), [])
     assert serre_apply(zero, 9) == zero and list(serre_orbit(zero, 3)) == [()] * 4
 
@@ -208,20 +220,26 @@ def test_serre_orbit_steps_only_its_first_period(monkeypatch):
     g = standard_generator(q)
     cat = catalog_for(q)
     p = first_return(stepped_levels(g, 30))
+    expect = {n: stepped_levels(g, abs(n), n < 0)[abs(n)] for n in (240, 247, -247)}
     calls = []
-    real = cat.serre_step
 
-    def counted(ident):
-        calls.append(ident)
-        return real(ident)
+    def counted(real):
+        def step(ident):
+            calls.append(ident)
+            return real(ident)
+        return step
 
-    monkeypatch.setattr(cat, "serre_step", counted)
+    monkeypatch.setattr(cat, "serre_step", counted(cat.serre_step))
+    monkeypatch.setattr(cat, "serre_inv_step", counted(cat.serre_inv_step))
     levels = list(serre_orbit(g, 240))
     assert len(levels) == 241
     assert len(calls) <= p * g.total_summands()
-    calls.clear()
-    serre_apply(g, 240)
-    assert len(calls) < 2 * p * g.total_summands()
+    # serre_apply reads the same walk, in both directions: p levels of |G|
+    # steps each, where a second stepping loop would take up to 2p
+    for power, summands in expect.items():
+        calls.clear()
+        assert serre_apply(g, power).summands == summands
+        assert len(calls) <= p * g.total_summands() == 120
 
 
 ORACLE_QUIVERS = (

@@ -2,7 +2,8 @@
 belongs to its module, so no sibling imports it or reads it off the module
 object.  Dunder names such as `__version__` are public.  And the pairwise
 Euler form is the catalog's: outside `catalog.py` and the `reps` oracle no
-module calls `euler_form` per pair, but reads the catalog's chi table."""
+module calls `euler_form` per pair, but reads the catalog's chi table.
+Likewise powers of the Serre functor step the catalog only in one walk."""
 
 import ast
 from pathlib import Path
@@ -59,9 +60,10 @@ def test_the_check_sees_private_imports_and_reads(tmp_path):
     ]
 
 
-def _euler_form_calls(path: Path) -> list[str]:
-    """Each call of `euler_form`, by name or as a module attribute, with the
-    function it sits in."""
+def _calls(path: Path, name: str) -> list[str]:
+    """Each call of `name` by bare name, and each read of `name` off an
+    object (a bound method taken to call later counts), with the function
+    it sits in."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
 
@@ -70,15 +72,22 @@ def _euler_form_calls(path: Path) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "euler_form":
-                    found.append("%s:%s" % (path.name, where))
+            called = isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+            if (called and child.func.id == name) or (
+                    isinstance(child, ast.Attribute) and child.attr == name):
+                found.append("%s:%s" % (path.name, where))
             visit(child, where)
 
     visit(tree, "<module>")
     return found
+
+
+def _callers(name: str) -> set[str]:
+    """The functions outside `catalog.py` and the `reps` oracle that use `name`."""
+    return {
+        hit for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("catalog.py", "reps.py")
+        for hit in _calls(path, name)
+    }
 
 
 # the forms built on it where it is defined, and the check of euler_form itself
@@ -90,11 +99,25 @@ EULER_FORM_CALLERS = {
 
 
 def test_only_the_catalog_and_the_oracle_call_euler_form():
-    found = {
-        hit for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("catalog.py", "reps.py")
-        for hit in _euler_form_calls(path)
-    }
-    assert found == EULER_FORM_CALLERS
+    assert _callers("euler_form") == EULER_FORM_CALLERS
+
+
+# the one walk that powers of S read, the Serre action on records, and the
+# verify rows that take single steps, the hand-stepped periodicity oracle
+# among them
+SERRE_STEP_CALLERS = {
+    "derived.py:serre_walk",
+    "stability.py:act",
+    "verify.py:check_coxeter_tau_action",
+    "verify.py:check_serre_duality_modules",
+    "verify.py:check_dynkin_periodicity",
+    "verify.py:check_serre_image_phase_window",
+}
+
+
+def test_serre_powers_step_the_catalog_in_one_walk():
+    assert _callers("serre_step") | _callers("serre_inv_step") == SERRE_STEP_CALLERS
+    assert _callers("serre_inv_step") == {"derived.py:serre_walk"}
 
 
 def test_the_check_sees_euler_form_calls(tmp_path):
@@ -108,4 +131,17 @@ def test_the_check_sees_euler_form_calls(tmp_path):
         "        return quivers.euler_form(q, d, e)\n"
         "    return [euler_form(q, a, b) for a in d for b in e] + [euler_form]\n"
     )
-    assert _euler_form_calls(path) == ["mod.py:<module>", "mod.py:g", "mod.py:f"]
+    assert _calls(path, "euler_form") == ["mod.py:<module>", "mod.py:g", "mod.py:f"]
+
+
+def test_the_check_sees_steps_taken_as_bound_methods(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def walk(cat, n):\n"
+        "    step = cat.serre_step if n >= 0 else cat.serre_inv_step\n"
+        "    return step(0), serre_step\n"
+        "def act(cat):\n"
+        "    return cat.serre_step(0)\n"
+    )
+    assert _calls(path, "serre_step") == ["mod.py:walk", "mod.py:act"]
+    assert _calls(path, "serre_inv_step") == ["mod.py:walk"]

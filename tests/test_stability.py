@@ -33,6 +33,8 @@ from sdlab.quivers import classify_dynkin
 from sdlab.reps import catalog_reps, exists_mono
 from sdlab.stability import PHASE_TOL
 
+from orientations import every_orientation
+
 A2 = parse_quiver("A2")
 A3 = parse_quiver("A3")
 D4 = parse_quiver("D4")
@@ -447,3 +449,21 @@ def test_mass_growth_needs_semistable_orbit():
     sigma = make_stability(A2, (1.0 + 1j, -1.0 + 1j))
     with pytest.raises(NotAllSemistable):
         mass_growth(sigma, (0.0,), 10)
+
+
+def test_gepner_rotation_search_on_every_orientation():
+    # make_stability decides which rotation is admissible: each orientation
+    # gets a Gepner point in the closed upper half plane, or HeartMismatch
+    built = 0
+    for text in ("A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"):
+        for q in every_orientation(text):
+            try:
+                sigma = gepner_construct(q)
+            except HeartMismatch as exc:
+                assert str(exc) == "no global rotation places every simple charge in the heart window"
+                continue
+            built += 1
+            h = classify_dynkin(q).coxeter_number
+            assert gepner_check(sigma, (h - 2) / h).verdict
+            assert all(z.imag > 0 or (z.imag == 0 and z.real < 0) for z in sigma.z_simples)
+    assert built > 0

@@ -9,6 +9,7 @@ from sdlab.stability import GepnerReport
 from sdlab.verify import (
     check_coxeter_tau_action,
     check_dynkin_periodicity,
+    check_exceptional_collections,
     check_gepner_points,
     check_serre_duality_modules,
     run_all,
@@ -132,3 +133,19 @@ def test_periodicity_row_steps_serre_by_hand(monkeypatch):
     name, q, dyn = dynkin[-1]
     bad = check_dynkin_periodicity([(name, q, dyn._replace(coxeter_number=dyn.coxeter_number + 1))])
     assert not bad.passed and bad.detail == "failures: ['E8']"
+
+
+def test_collection_check_fails_on_a_repeated_or_swapped_object(monkeypatch):
+    # a repeated object has chi 1 below the diagonal; swapping two
+    # neighbours joined by a map moves its chi below the diagonal
+    name, q, dyn = _dynkin("A3")[0]
+    sigma = sdlab.verify.gepner_construct(q)
+    coll = sdlab.verify.extract_exceptional_collection(sigma)
+    rows = sdlab.verify.catalog_for(q).chi_rows()
+    i = next(i for i in range(len(coll) - 1) if rows[coll[i][0]][coll[i + 1][0]])
+    swapped = coll[:i] + [coll[i + 1], coll[i]] + coll[i + 2:]
+    for bad in ([coll[0]] + coll[:-1], swapped):
+        monkeypatch.setattr(sdlab.verify, "extract_exceptional_collection", lambda s, c=bad: list(c))
+        result = check_exceptional_collections([(name, q, dyn, sigma)])
+        assert not result.passed
+        assert "A3: not unitriangular" in result.detail or "A3: diagonal" in result.detail
