@@ -5,10 +5,12 @@ On a Dynkin quiver an indecomposable is fixed by its dimension vector
 Coxeter matrix Phi: S P_i = I_i and S M = tau M[1] otherwise (Happel 1988).
 So entries hold dimension vectors only.  The projectives and injectives are
 the rows and columns of the path-count matrix P = E^{-1}, and each Serre
-step is read off the sign of the integer vector A^{+-1} dim M.  Hom and Ext
-come from one integer table of the Euler form, chi = D E D^T over the
-dimension vectors D, so nothing here calls into the exact representations
-of `reps`.
+step is read off the sign of the integer vector A^{+-1} dim M.  Off Dynkin,
+on a connected quiver, a power S^p is read the same way off A^p dim M in one
+matrix power (`serre_power`): there an orbit crosses from the projectives to
+the injectives at most once.  Hom and Ext come from one integer table of
+the Euler form, chi = D E D^T over the dimension vectors D, so nothing here
+calls into the exact representations of `reps`.
 """
 
 from __future__ import annotations
@@ -58,7 +60,11 @@ class IndecCatalog:
     operations that need the complete list, or Hom out of a virtual entry,
     raise CatalogIncomplete there.  One memoized rule serves both kinds of
     quiver and both directions: `serre_step` and `serre_inv_step` apply
-    `serre_k` = A or `serre_k_inv` = A^{-1} to the dimension vector.
+    `serre_k` = A or `serre_k_inv` = A^{-1} to the dimension vector.  Off
+    Dynkin, on a connected quiver (`single_crossing`), `serre_power` applies
+    A^p at once and registers only the image, so virtual ids follow the
+    order of the calls; a disconnected quiver can have Dynkin components,
+    whose orbits cross P -> I again and again, so it is stepped.
 
     `records` are a saved catalog's (dim, proj_vertex, inj_vertex) triples
     in id order; by default the orbits are walked.  Both go through `_link`.
@@ -66,7 +72,10 @@ class IndecCatalog:
 
     def __init__(self, quiver: Quiver, records=None):
         self.quiver = quiver
-        self.dynkin = classify_dynkin(quiver) if quiver.is_connected() else None
+        connected = quiver.is_connected()
+        self.dynkin = classify_dynkin(quiver) if connected else None
+        # where every Serre orbit crosses P -> I at most once: see serre_power
+        self.single_crossing = connected and self.dynkin is None
         ed = coxeter_matrix(quiver)
         paths = path_counts(quiver)
         proj = [tuple(r) for r in paths]
@@ -163,6 +172,33 @@ class IndecCatalog:
 
     def serre_inv_step(self, ident: int) -> tuple[int, int]:
         return self._steps.get((ident, -1)) or self._step(ident, -1)
+
+    def serre_power(self, idents, power: int) -> list[tuple[int, int]]:
+        """S^power M = M'[sigma] for each id, off Dynkin on a connected
+        quiver: one matrix A^power (A^{-1} for negative powers) by repeated
+        squaring, and only the images registered.  An orbit there crosses
+        P -> I at most once, as the preprojective and preinjective
+        components are disjoint, so all steps but at most one shift by one:
+        sigma is power, or power moved one toward 0, whichever parity
+        matches the sign of v = A^power dim M, and M' = |v|."""
+        base = self.serre_k if power >= 0 else self.serre_k_inv
+        n = self.quiver.n
+        a = [[int(i == j) for j in range(n)] for i in range(n)]
+        for bit in bin(abs(power))[2:]:
+            a = int_mat_mul(a, a)
+            if bit == "1":
+                a = int_mat_mul(a, base)
+        toward_zero = (power > 0) - (power < 0)
+        out = []
+        for ident in idents:
+            dim = self.entries[ident].dim_vector
+            v = int_mat_vec(a, dim)
+            negative = all(x <= 0 for x in v)
+            if not negative and any(x < 0 for x in v):
+                raise CatalogMiss("left the cataloged components at %s" % (dim,))
+            sigma = power if power % 2 == negative else power - toward_zero
+            out.append((self._add(tuple(-x for x in v) if negative else v), sigma))
+        return out
 
     # -- the pairwise Euler form
 

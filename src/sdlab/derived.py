@@ -3,8 +3,12 @@
 Over a hereditary algebra every object splits into shifts of modules, so a
 finite multiset of (catalog id, shift) pairs is a faithful model.  The Serre
 functor acts summand by summand through the catalog's step maps, up to the
-first return S^p X = X[k].  Hom Poincare data comes from the catalog's
-pairwise Euler form with degree bookkeeping.
+first return S^p X = X[k].  Off Dynkin, on a connected quiver, an orbit
+crosses from the projectives to the injectives at most once, so `serre_apply`
+maps each summand through one matrix power A^p instead; disconnected quivers
+keep the steps, as their Dynkin components cross many times (and A2 + A2
+has a period).  Hom Poincare data comes from the catalog's pairwise Euler
+form with degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -66,8 +70,15 @@ def serre_walk(x: DerivedObject, n: int):
 
 
 def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
-    """S^power X, by the inverse for negative powers, read off `serre_walk`:
+    """S^power X, by the inverse for negative powers.  Off Dynkin, on a
+    connected quiver, each summand goes through one matrix power
+    (`IndecCatalog.serre_power`).  Otherwise it is read off `serre_walk`:
     past its first return p, S^(qp + r) X = S^r X[qk]."""
+    cat = catalog_for(x.quiver)
+    if cat.single_crossing:
+        images = cat.serre_power([i for i, _ in x.summands], power)
+        return DerivedObject.create(
+            x.quiver, [(j, s + sigma) for (_, s), (j, sigma) in zip(x.summands, images)])
     levels = []
     for pairs, k in serre_walk(x, power):
         if k is not None:
@@ -102,7 +113,8 @@ def hom_poincare(x: DerivedObject, y: DerivedObject) -> dict[int, int]:
 
     This is the general tool of `verify`'s duality checks and of the tests.
     The entropy series does not call it: with X = G it reads each level off
-    `serre_orbit` as total dimensions, and this function is its oracle.
+    `serre_walk` as total dimensions, or off Dynkin on a connected quiver as
+    |sum A^n [G]|, and this function is its oracle.
     """
     if x.quiver != y.quiver:
         raise QuiverMismatch("hom between objects over different quivers")

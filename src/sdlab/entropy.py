@@ -4,9 +4,15 @@ The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
 generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
 level n is the total dimension of each summand N[b] of S^n G, added at
 m = -b, and past the first return S^p G = G[k] level n is level n - p with
-every m moved by -k; no pairwise Euler form is read.  Entropy at parameter t
-is the growth rate of f_n(t) = sum_m dim * exp(-m t); `growth_rate` fits
-a + b/n over a deterministic subsequence and reports the extrapolated intercept.
+every m moved by -k; no pairwise Euler form is read.  Off Dynkin, on a
+connected quiver, S P_i = I_i and then S = tau[1] along the preinjectives,
+so S^n G for n >= 1 sits in the one shift n - 1 and level n is the single
+integer |sum A^n [G]| at m = 1 - n, one matrix-vector product per level.
+Disconnected quivers keep the walk: a component may be Dynkin, where orbits
+cross from the projectives to the injectives again and again.  Entropy at
+parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t);
+`growth_rate` fits a + b/n over a deterministic subsequence and reports the
+extrapolated intercept.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 from .catalog import catalog_for
 from .derived import require_nonzero, serre_walk, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
-from .quivers import Quiver, classify_dynkin
+from .quivers import Quiver, classify_dynkin, int_mat_vec
 
 DEFAULT_BUDGET = 10**9
 
@@ -54,17 +60,23 @@ class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_p
         return log_sum_exp(self.logs[d] - m * t for m, d in self.levels[n].items())
 
 
-@functools.lru_cache(maxsize=64)
-def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
+def _kclass_levels(cat, n_max: int):
+    """Off Dynkin, on a connected quiver: S P_i = I_i, and S = tau[1] along
+    the preinjectives, which never reach a projective.  So for n >= 1,
+    S^n G = sum_i tau^(n-1) I_i [n-1] sits in one shift, its K-class
+    A^n [G] is (-1)^(n-1) times its dimension vector, and level n is
+    {1 - n: |sum A^n [G]|}: one integer vector stepped by A, and no catalog
+    entry made."""
+    w = tuple(map(sum, zip(*(cat.entries[i].dim_vector for i in cat.proj_ids))))
+    yield {0: sum(w)}
+    for n in range(1, n_max + 1):
+        w = int_mat_vec(cat.serre_k, w)
+        yield {1 - n: abs(sum(w))}
+
+
+def _walked_levels(cat, g, n_max: int):
     """The levels off `serre_walk`; past its first return p, level n is level
     n - p with every key moved by -k, in the same order, so log_f keeps its bits."""
-    if n_max < 1:
-        raise ConfigError("n_max must be at least 1")
-    if budget < 1:
-        raise ConfigError("budget must be at least 1")
-    cat = catalog_for(q)
-    g = standard_generator(q)
-    require_nonzero(g, "generator")
     # log_f sums a level in dict order, so keys enter in the order that
     # hom_poincare(G, S^n G) gives them: each summand N counts from the first
     # projective of G that maps to it, and the stable sort keeps the summand
@@ -76,23 +88,54 @@ def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> Entro
         return next(j for j, v in enumerate(tops) if dim[v])
 
     levels = []
-    for n, (pairs, k) in enumerate(serre_walk(g, n_max)):
+    for pairs, k in serre_walk(g, n_max):
         if k is not None:
             break
         lev: dict[int, int] = {}
         for ident, b in sorted(pairs, key=first_hom):
             lev[-b] = lev.get(-b, 0) + sum(cat.entries[ident].dim_vector)
+        levels.append(lev)
+        yield lev
+    p = len(levels)
+    for n in range(p, n_max + 1):
+        levels.append({m - k: d for m, d in levels[n - p].items()})
+        yield levels[-1]
+
+
+@functools.lru_cache(maxsize=64)
+def _series(q: Quiver, n_max: int, budget: int) -> EntropySeries:
+    if n_max < 1:
+        raise ConfigError("n_max must be at least 1")
+    if budget < 1:
+        raise ConfigError("budget must be at least 1")
+    cat = catalog_for(q)
+    g = standard_generator(q)
+    require_nonzero(g, "generator")
+    levels = []
+    for n, lev in enumerate(_kclass_levels(cat, n_max) if cat.single_crossing
+                            else _walked_levels(cat, g, n_max)):
         total = sum(lev.values())
         if total > budget:
             raise BudgetExceeded(
                 "hom dimensions reached %d at n=%d (budget %d)" % (total, n, budget)
             )
         levels.append(lev)
-    p = len(levels)
-    for n in range(p, n_max + 1):
-        levels.append({m - k: d for m, d in levels[n - p].items()})
     return EntropySeries(q, n_max, tuple(levels), tuple(-min(lev) for lev in levels),
                          tuple(-max(lev) for lev in levels))
+
+
+def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
+    """Levels 0..n_max, cached once per (q, n_max, budget) whether or not the
+    budget is passed.  Off Dynkin on a connected quiver they are one integer
+    recurrence (`_kclass_levels`).  On a Dynkin quiver, or a disconnected one
+    (a component may be Dynkin, and A2 + A2 has a period), orbits cross from
+    the projectives to the injectives again and again, so they are read off
+    `serre_walk`."""
+    return _series(q, n_max, budget)
+
+
+entropy_series.cache_info = _series.cache_info
+entropy_series.cache_clear = _series.cache_clear
 
 
 def tail_window(n_max: int) -> range:

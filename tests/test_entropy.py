@@ -52,6 +52,16 @@ def test_series_is_cached():
         entropy_series(A2, 0)
 
 
+def test_series_is_one_cache_entry_whether_or_not_the_budget_is_passed():
+    entropy_series.cache_clear()
+    s = entropy_series(K2, 30)
+    assert entropy_series(K2, 30, DEFAULT_BUDGET) is s
+    assert entropy_series(K2, n_max=30, budget=DEFAULT_BUDGET) is s
+    assert entropy_series.cache_info().misses == 1
+    assert entropy_series(K2, 30, DEFAULT_BUDGET + 1) is not s
+    assert entropy_series.cache_info().misses == 2
+
+
 def test_log_f_matches_direct_sum():
     s = entropy_series(A2, 6)
     t = 0.7
@@ -170,21 +180,40 @@ def test_orbit_apply_and_series_match_the_stepped_oracle(text, n):
     assert series.m_plus == tuple(-max(lev) for lev in expect)
 
 
+def orbit_entry(x, j, inverse=False):
+    """The catalog id of the one summand of S^j X (S^-j X with `inverse`)."""
+    ((ident, _),) = stepped_levels(x, j, inverse)[j]
+    return ident
+
+
 def test_serre_powers_of_mixed_objects_match_the_stepped_oracle():
     # several orbits and shifts in one object, both directions, past the period
-    presets = [parse_quiver(text) for text in ("A4", "D6", "E7", "K2", MORE_QUIVERS["A~2"])]
+    presets = [parse_quiver(text) for text in (
+        "A4", "D6", "E7", "K2", "K3", MORE_QUIVERS["A~2"], MORE_QUIVERS["D~4"],
+        "vertices:4; arrows:1->2,1->2,3->4",  # K2 + A2: disconnected, so walked
+    )]
     for q in presets + every_orientation("A4") + every_orientation("D5"):
-        cat, dyn = catalog_for(q), classify_dynkin(q)
-        # off Dynkin the catalog grows as it is walked: pick flagged entries
+        cat = catalog_for(q)
+        dyn = cat.dynkin
+        # off Dynkin the catalog grows as it is walked: pick flagged entries,
+        # then the virtual tau^-j P_i and tau^j I_i (j <= 4) that S^-+j reach
         first, mid, last = (0, cat.size() // 2, cat.size() - 1) if dyn else (
             cat.proj_ids[0], cat.inj_ids[-1], cat.proj_ids[-1])
-        x = DerivedObject.create(q, [(first, 2), (mid, -1), (last, 0), (last, 3)])
+        pairs = [(first, 2), (mid, -1), (last, 0), (last, 3)]
+        if dyn is None:
+            for j, p_i, i_i in zip((1, 2, 3, 4), cat.proj_ids, cat.inj_ids[::-1]):
+                pairs.append((orbit_entry(DerivedObject.create(q, [(p_i, 0)]), j, True), j))
+                pairs.append((orbit_entry(DerivedObject.create(q, [(i_i, 0)]), j), -j))
+        x = DerivedObject.create(q, pairs)
         h = dyn.coxeter_number if dyn else 6  # off Dynkin nothing returns; h, p pick powers
-        forward, backward = stepped_levels(x, 75), stepped_levels(x, 75, inverse=True)
+        # K3 stays below the entropy budget: its dimensions grow like 2.6^n
+        top = 10 if q == K3 else 75
+        forward, backward = stepped_levels(x, top), stepped_levels(x, top, inverse=True)
         p = first_return(forward) or h
-        assert list(serre_orbit(x, 75)) == forward
-        powers = {1, p - 1, p, p + 1, 2 * h + 3}
-        for n in powers | {17, 40, 75}:
+        assert list(serre_orbit(x, top)) == forward
+        powers = {n for n in (1, p - 1, p, p + 1, 2 * h + 3) if 2 * n <= top}
+        # 1..6 cross P -> I forward and I -> P backward at j + 1 for each j
+        for n in powers | {n for n in (2, 3, 4, 5, 6, 17, 40, 75) if n <= top}:
             assert serre_apply(x, n).summands == forward[n]
             assert serre_apply(x, -n).summands == backward[n]
         signed = [s * n for n in powers for s in (1, -1)]
@@ -240,6 +269,46 @@ def test_serre_orbit_steps_only_its_first_period(monkeypatch):
         calls.clear()
         assert serre_apply(g, power).summands == summands
         assert len(calls) <= p * g.total_summands() == 120
+
+
+def test_off_dynkin_series_and_powers_take_no_catalog_step(monkeypatch):
+    # one integer vector per level and one matrix power per call, on D~4
+    q = parse_quiver(MORE_QUIVERS["D~4"])
+    g = standard_generator(q)
+    cat = catalog_for(q)
+    expect = {n: stepped_levels(g, 240, n < 0)[240] for n in (240, -240)}
+    levels = [list(lev.items()) for lev in stepped_series_levels(q, 240)]
+    calls = []
+
+    def counted(real):
+        def step(ident):
+            calls.append(ident)
+            return real(ident)
+        return step
+
+    monkeypatch.setattr(cat, "serre_step", counted(cat.serre_step))
+    monkeypatch.setattr(cat, "serre_inv_step", counted(cat.serre_inv_step))
+    entropy_series.cache_clear()
+    assert [list(lev.items()) for lev in entropy_series(q, 240).levels] == levels
+    for power, summands in expect.items():
+        assert serre_apply(g, power).summands == summands
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ("K2", MORE_QUIVERS["D~4"]))
+def test_far_serre_powers_register_only_their_images(monkeypatch, text):
+    # the series makes no catalog entry, and a power registers at most the
+    # |G| images it returns
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    entropy_series.cache_clear()
+    q = parse_quiver(text)
+    cat, g = catalog_for(q), standard_generator(q)
+    size = cat.size()
+    entropy_series(q, 240)
+    assert cat.size() == size
+    serre_apply(g, -240)
+    serre_apply(g, 2000)
+    assert cat.size() <= size + 2 * g.total_summands()
 
 
 ORACLE_QUIVERS = (
