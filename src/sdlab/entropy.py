@@ -127,10 +127,10 @@ def _series(q: Quiver, n_max: int, budget: int) -> EntropySeries:
 def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
     """Levels 0..n_max, cached once per (q, n_max, budget) whether or not the
     budget is passed.  Off Dynkin on a connected quiver they are one integer
-    recurrence (`_kclass_levels`).  On a Dynkin quiver, or a disconnected one
-    (a component may be Dynkin, and A2 + A2 has a period), orbits cross from
-    the projectives to the injectives again and again, so they are read off
-    `serre_walk`."""
+    recurrence (`_kclass_levels`).  On a Dynkin quiver orbits cross from the
+    projectives to the injectives again and again, so the levels are read off
+    `serre_walk`; so are a disconnected quiver's, as a component may be Dynkin
+    (and A2 + A2 has a period)."""
     return _series(q, n_max, budget)
 
 
