@@ -34,8 +34,8 @@ for n_max in (8, 16, 32, 64, 128):
         % (n_max, dims.upper, dims.lower)
     )
 
-# The Kronecker quiver is not Dynkin: the orbit never closes up and both
-# dimensions head to 1 instead, with no exact fraction attached.
+# The Kronecker quiver is not Dynkin: the orbit never closes up, S^n G sits
+# in the one shift n - 1, and both dimensions are exactly 1.
 q = parse_quiver("K2")
 dims = sdim_estimate(q, n_max=60)
 print()

@@ -5,10 +5,10 @@ finite multiset of (catalog id, shift) pairs is a faithful model.  The Serre
 functor acts summand by summand through the catalog's step maps, up to the
 first return S^p X = X[k].  Off Dynkin, on a connected quiver, an orbit
 crosses from the projectives to the injectives at most once, so `serre_apply`
-maps each summand through one matrix power A^p instead; disconnected quivers
-keep the steps, as their Dynkin components cross many times (and A2 + A2
-has a period).  Hom Poincare data comes from the catalog's pairwise Euler
-form with degree bookkeeping.
+maps each summand through one matrix power A^p instead, and `serre_orbit`
+through one A per level; disconnected quivers keep the steps, as their
+Dynkin components cross many times (and A2 + A2 has a period).  Hom Poincare
+data comes from the catalog's pairwise Euler form with degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -90,7 +90,18 @@ def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
 
 def serre_orbit(x: DerivedObject, n_max: int):
     """The summands of S^n X for n = 0..n_max, as serre_apply(x, n).summands:
+    off Dynkin, on a connected quiver, each level is the last one through
+    `IndecCatalog.serre_power` by 1, so no step is memoized; otherwise
     `serre_walk` to its first return p, then level n % p shifted by (n // p) k."""
+    cat = catalog_for(x.quiver)
+    if cat.single_crossing:
+        pairs = x.summands
+        yield pairs
+        for _ in range(n_max):
+            images = cat.serre_power([i for i, _ in pairs], 1)
+            pairs = tuple(sorted((j, s + d) for (_, s), (j, d) in zip(pairs, images)))
+            yield pairs
+        return
     levels = []
     for pairs, k in serre_walk(x, n_max):
         if k is None:

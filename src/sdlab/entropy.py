@@ -10,9 +10,11 @@ so S^n G for n >= 1 sits in the one shift n - 1 and level n is the single
 integer |sum A^n [G]| at m = 1 - n, one matrix-vector product per level.
 Disconnected quivers keep the walk: a component may be Dynkin, where orbits
 cross from the projectives to the injectives again and again.  Entropy at
-parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t);
-`growth_rate` fits a + b/n over a deterministic subsequence and reports the
-extrapolated intercept.
+parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t).  Off
+Dynkin, on a connected quiver, f_n(t) = |sum A^n [G]| exp((n - 1) t), so
+h_t = t + log rho(Phi) exactly and both Serre dimensions are 1; the series
+is still read, for its budget.  Elsewhere `growth_rate` fits a + b/n over a
+deterministic subsequence and reports the extrapolated intercept.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from .catalog import catalog_for
 from .derived import require_nonzero, serre_walk, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
-from .quivers import Quiver, classify_dynkin, int_mat_vec
+from .quivers import Quiver, classify_dynkin, int_mat_vec, log_spectral_radius
 
 DEFAULT_BUDGET = 10**9
 
@@ -54,6 +56,14 @@ class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_p
     def logs(self) -> dict:
         """log dim for each dimension in the levels, computed once."""
         return {d: math.log(d) for lev in self.levels for d in lev.values()}
+
+    @functools.cached_property
+    def log_rho(self) -> float | None:
+        """log rho(Phi) where h_t = t + log rho exactly: off Dynkin, on a
+        connected quiver; None elsewhere."""
+        if catalog_for(self.quiver).single_crossing:
+            return log_spectral_radius(self.quiver)
+        return None
 
     def log_f(self, n: int, t: float) -> float:
         """log f_n(t) via a log-sum-exp over `logs`, safe for large |m t|."""
@@ -165,9 +175,13 @@ def growth_rate(q: Quiver, n_max: int, log_f) -> float:
 def entropy_estimate(
     q: Quiver, t: float, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> float:
-    """Categorical entropy h_t of the Serre functor, extrapolated from the
+    """Categorical entropy h_t of the Serre functor.  Off Dynkin, on a
+    connected quiver, it is t + log rho(Phi) exactly, and n_max only bounds
+    the series read for its budget; elsewhere it is extrapolated from the
     series by `growth_rate` once per t and series."""
     series = entropy_series(q, n_max, budget)
+    if series.log_rho is not None:
+        return t + series.log_rho
     memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
     h = memo.get(t)
     if h is None:
@@ -187,10 +201,15 @@ class SerreDims(namedtuple("SerreDims", "upper lower exact")):
 
 
 def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> SerreDims:
-    """Upper and lower Serre dimension from the shift-support growth of
-    S^n G, windowed over the tail half; the exact field carries
-    (h - 2) / h on Dynkin quivers and None otherwise."""
+    """Upper and lower Serre dimension.  Off Dynkin, on a connected quiver,
+    S^n G sits in the one shift n - 1, so both are exactly 1, as is the
+    exact field, once the series has been read for its budget.  Elsewhere
+    they are read off the shift-support growth of S^n G, windowed over the
+    tail half, and the exact field carries (h - 2) / h on Dynkin quivers and
+    None otherwise."""
     series = entropy_series(q, n_max, budget)
+    if series.log_rho is not None:
+        return SerreDims(upper=1.0, lower=1.0, exact=Fraction(1))
     window = tail_window(n_max)
     upper = max(series.m_minus[n] / n for n in window)
     lower = max(series.m_plus[n] / n for n in window)
@@ -217,31 +236,34 @@ class EntropyProfile(namedtuple("EntropyProfile", "slope intercept residual c_ha
 def entropy_profile(
     q: Quiver, t_grid, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> EntropyProfile:
-    """Fit h_t = slope * t + intercept over the grid; residual is the max
-    absolute deviation.  A tiny residual certifies affine entropy."""
+    """Fit h_t = slope * t + intercept over the grid by least squares;
+    residual is the max absolute deviation.  A tiny residual certifies
+    affine entropy."""
     ts = [float(t) for t in t_grid]
     if not ts:
         raise EmptyGrid("entropy profile needs a nonempty t grid")
     if len(ts) < 3:
         raise ConfigError("entropy profile needs at least 3 grid points")
     if len(set(ts)) < 2:
-        # a line through one abscissa is undetermined: polyfit raises
-        # LinAlgError at t = 0 and returns a rank-deficient fit elsewhere
+        # a line through one abscissa is undetermined
         raise ConfigError("entropy profile needs at least 2 distinct grid points")
-    import numpy as np
-
-    hs = np.array([entropy_estimate(q, t, n_max, budget) for t in ts])
-    # polyfit squares the t column, which overflows past |t| ~ 1e154; fit on
-    # t / 2**e instead.  Scaling by a power of two is exact, so grids that
-    # fit without it give the same bits.
+    hs = [entropy_estimate(q, t, n_max, budget) for t in ts]
+    # fit on t / 2**e, inside [-1, 1], so that no square of t overflows;
+    # scaling by a power of two is exact
     e = math.frexp(max(abs(t) for t in ts))[1]
-    xs = np.array([math.ldexp(t, -e) for t in ts])
-    scaled_slope, intercept = np.polyfit(xs, hs, 1)
-    slope = math.ldexp(float(scaled_slope), -e)
-    residual = float(np.max(np.abs(scaled_slope * xs + intercept - hs)))
+    xs = [math.ldexp(t, -e) for t in ts]
+    x_bar, h_bar = sum(xs) / len(xs), sum(hs) / len(hs)
+    dxs = [x - x_bar for x in xs]
+    scaled_slope = (sum(dx * (h - h_bar) for dx, h in zip(dxs, hs))
+                    / sum(dx * dx for dx in dxs))
+    intercept = h_bar - scaled_slope * x_bar
+    slope = math.ldexp(scaled_slope, -e)
+    residual = max(abs(scaled_slope * x + intercept - h) for x, h in zip(xs, hs))
+    if not all(map(math.isfinite, (slope, intercept, residual))):
+        raise ConfigError("entropy profile leaves the float range; use a smaller |t|")
     return EntropyProfile(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         residual=residual,
-        c_hat=complex(float(slope), float(intercept) / math.pi),
+        c_hat=complex(slope, intercept / math.pi),
     )

@@ -6,6 +6,7 @@ matrices and dimension vectors are 0-indexed internally.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections import namedtuple
@@ -233,6 +234,111 @@ def coxeter_matrix(q: Quiver) -> EulerData:
     cox = tuple(tuple(-x for x in r) for r in phi_rows)
     serre = tuple(tuple(r) for r in phi_rows)
     return EulerData(euler=eul, coxeter=cox, serre_k_action=serre)
+
+
+def _char_poly(a: Sequence[Sequence[int]]) -> list[int]:
+    """det(x I - a), coefficients from x^0 up, by Faddeev-LeVerrier in exact
+    ints: M_k = a M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(a M_k) / k."""
+    n = len(a)
+    c = [0] * n + [1]
+    am = [[0] * n for _ in range(n)]  # a M_(k-1), from M_0 = 0
+    for k in range(1, n + 1):
+        for i in range(n):
+            am[i][i] += c[n - k + 1]
+        am = int_mat_mul(a, am)
+        c[n - k] = -sum(am[i][i] for i in range(n)) // k
+    return c
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Integer q, r with c a = q b + r, deg r < deg b <= deg a, for the
+    positive c = |lead b|^(deg a - deg b + 1), which makes every step's
+    division exact; coefficients from x^0 up, and r has no zero leading
+    coefficient."""
+    lead = b[-1]
+    rem = [x * abs(lead) ** (len(a) - len(b) + 1) for x in a]
+    quo = [0] * (len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        f = rem[-1] // lead
+        shift = len(rem) - len(b)
+        quo[shift] = f
+        for i, x in enumerate(b):
+            rem[shift + i] -= f * x
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by the positive gcd of its coefficients."""
+    g = math.gcd(*f)
+    return [x // g for x in f]
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(f)][1:]
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain of p's squarefree part p / gcd(p, p'), each member a
+    positive multiple of the textbook one, so its signs are the same."""
+    a, b = p, _derivative(p)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    chain = [_primitive(_pseudo_divmod(p, a)[0])]
+    chain.append(_derivative(chain[0]))
+    while True:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return chain
+        chain.append(_primitive([-x for x in rem]))
+
+
+def _sign_changes(chain: list[list[int]], a: int, k: int) -> int:
+    """Sign changes along the chain at the dyadic point a / 2^k, zeros dropped:
+    each member is evaluated as 2^(k deg) f(a / 2^k), an integer of the same sign."""
+    signs = []
+    for f in chain:
+        v = 0
+        for i, x in enumerate(reversed(f)):
+            v = v * a + (x << (k * i))
+        if v:
+            signs.append(v > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+@cache
+def log_spectral_radius(q: Quiver) -> float:
+    """log rho(Phi) for the Coxeter matrix Phi, exactly 0.0 when no root of
+    its characteristic polynomial exceeds 1 (Dynkin and tame quivers).
+
+    Otherwise rho is the largest real root (Ringel: the spectral radius of
+    the Coxeter transformation of a wild quiver is an eigenvalue), bisected
+    on dyadic points with Sturm's theorem, in exact integers, until the float
+    endpoints agree.  `serre_k` = -Phi has the eigenvalue -rho instead.
+    Memoized per quiver.
+    """
+    chain = _sturm_chain(_char_poly(coxeter_matrix(q).coxeter))
+    at_infinity = sum((s[-1] > 0) != (t[-1] > 0) for s, t in zip(chain, chain[1:]))
+
+    def above(a: int, k: int) -> bool:  # a root in (a / 2^k, oo)
+        return _sign_changes(chain, a, k) > at_infinity
+
+    if not above(1, 0):
+        return 0.0
+    hi = 2
+    while above(hi, 0):
+        hi *= 2
+    lo, k = 1, 0
+    # the largest root lies in (lo, hi] / 2^k
+    while lo / (1 << k) != hi / (1 << k):
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        if above(mid, k):
+            lo = mid
+        else:
+            hi = mid
+    return math.log(hi / (1 << k))
 
 
 def coxeter_order(q: Quiver, cap: int = 64) -> int | None:

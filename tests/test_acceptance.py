@@ -394,24 +394,24 @@ def test_curve_global_dimension():
 
 
 def test_kronecker_sdim_entropy():
-    """The 2-Kronecker quiver has Serre dimension 1 on both sides and its
-    entropy at t=0 matches the K-theory spectral growth of the Coxeter
-    action (whose matrix is unipotent, so the spectral rate is 0)."""
+    """The 2-Kronecker quiver has Serre dimension exactly 1 on both sides,
+    as every connected non-Dynkin quiver does, and its entropy at t=0 is the
+    K-theory spectral growth of the Coxeter action (whose matrix is
+    unipotent, so the spectral rate is 0)."""
     q = parse_quiver("K2")
     dims = sdim_estimate(q, n_max=30)
-    assert abs(dims.upper - 1.0) <= 0.05
-    assert abs(dims.lower - 1.0) <= 0.05
-    assert dims.exact is None
+    assert dims.upper == 1.0 and dims.lower == 1.0
+    assert dims.exact == Fraction(1)
     phi = np.array(coxeter_matrix(q).coxeter, dtype=float)
     oracle = math.log(float(np.max(np.abs(np.linalg.eigvals(phi)))))
     assert abs(oracle) < 1e-6  # both eigenvalues are 1
     est = entropy_estimate(q, 0.0, n_max=30)
     gap = abs(est - oracle)
-    assert gap <= 0.05, "entropy %.6f vs spectral rate %.6f" % (est, oracle)
+    assert gap <= 1e-12, "entropy %.6f vs spectral rate %.6f" % (est, oracle)
     _report(
         "kronecker-sdim-entropy",
-        "sdim window [%.4f, %.4f], h_0 %.6f vs spectral rate %.2e (gap %.4f)"
-        % (dims.lower, dims.upper, est, oracle, gap),
+        "sdim [%.4f, %.4f] exact %s, h_0 %.6f vs spectral rate %.2e (gap %.1e)"
+        % (dims.lower, dims.upper, dims.exact, est, oracle, gap),
     )
 
 

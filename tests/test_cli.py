@@ -225,10 +225,12 @@ def test_bad_sigma_file_exits_with_envelope(capsys, tmp_path, text, code, error)
         (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "1e308"], 2),
         (["entropy", "--quiver", "A2", "--t", "1e308"], 2),
         (["entropy", "--quiver", "A2", "--t-grid=1e308,0,1"], 2),
+        # h_t = t exactly off Dynkin, but the fitted slope overflows
+        (["entropy", "--quiver", "K2", "--t-grid=1e308,-1e308,0"], 2),
         (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "2000"], 0),
     ],
     ids=["mass-nmax-0", "mass-nmax-negative", "mass-huge-t", "entropy-huge-t",
-         "entropy-huge-t-grid", "mass-overflowing-exp"],
+         "entropy-huge-t-grid", "entropy-overflowing-profile", "mass-overflowing-exp"],
 )
 def test_short_series_and_float_overflow_end_cleanly(capsys, argv, code):
     got, out, err = _run(capsys, argv)
@@ -477,14 +479,18 @@ def test_runtime_never_imports_the_exact_oracle(tmp_path):
     assert json.loads(runs[0][1])["verdict"] is True
 
 
-# `cli-cold` commands that need no eigenvector, line fit or curve oracle;
-# K2 is not Dynkin, so `gepner` stops before the eigenvector
+# `cli-cold` commands that need no eigenvector, growth-rate fit or curve
+# oracle; K2 is not Dynkin, so `gepner` stops before the eigenvector and the
+# estimators read h_t = t + log rho without a fit
 NUMPY_FREE_ARGV = [
     ["quiver", "--quiver", "E8"],
     ["sdim", "--quiver", "E8"],
     ["stab", "sample", "--quiver", "D8", "--seed", "7"],
     ["curve", "--genus", "2", "--h-grid", "0.5,1,10,100,1000"],
     ["stab", "gepner", "--quiver", "K2"],
+    ["entropy", "--quiver", "K2", "--t-grid=-1,0,1"],
+    ["sdim", "--quiver", "K2"],
+    ["volume", "--quiver", "K2", "--lam", "2"],
 ]
 
 
@@ -492,7 +498,7 @@ def test_import_and_numpy_free_commands_never_load_numpy(tmp_path):
     steps, runs = _modules_loaded(tmp_path, ("numpy",), NUMPY_FREE_ARGV)
     assert len(steps) == 2 + len(NUMPY_FREE_ARGV)
     assert steps == dict.fromkeys(steps, [])
-    assert [code for code, _ in runs] == [0, 0, 0, 0, 3]
+    assert [code for code, _ in runs] == [0, 0, 0, 0, 3, 0, 0, 0]
 
 
 # one argv per subcommand, the numpy users included

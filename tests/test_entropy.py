@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from sdlab import (
 )
 from sdlab.derived import serre_orbit
 from sdlab.entropy import growth_rate
+from sdlab.quivers import Quiver, coxeter_matrix, log_spectral_radius
 
 from orientations import every_orientation
 
@@ -89,12 +91,13 @@ def test_entropy_scales_with_coxeter_number():
 
 
 def test_kronecker_tame_entropy_near_identity_slope():
-    # on the 2-arrow Kronecker quiver the series grows like n e^{nt}
-    est0 = entropy_estimate(K2, 0.0, 30)
-    assert abs(est0 - 0.048463566676851415) < 1e-12
-    assert abs(est0) < 0.05
-    est2 = entropy_estimate(K2, 2.0, 30)
-    assert abs(est2 - 2.0) < 0.05
+    # on the 2-arrow Kronecker quiver the series grows like n e^{nt}; the
+    # polynomial factor leaves no trace in the growth rate: h_t = t exactly,
+    # whatever n_max the series is read to
+    for n_max in (1, 30, 240):
+        for t in (-2.0, 0.0, 0.5, 2.0):
+            assert entropy_estimate(K2, t, n_max) == t
+    assert entropy_estimate(K2, -0.0, 30).hex() == (0.0).hex()
 
 
 def test_budget_guard_fires_on_wild_quiver():
@@ -346,14 +349,22 @@ def plain_log_sum_exp(vals):
 
 @pytest.mark.parametrize("text", ESTIMATOR_QUIVERS)
 def test_estimates_are_bit_identical_to_the_plain_chain(text):
-    # stepwise levels, then a log-sum-exp over every term, then growth_rate
+    # stepwise levels, then a log-sum-exp over every term, then growth_rate;
+    # off Dynkin the estimate is t + log rho exactly (0 on these tame
+    # quivers), the limit that the plain chain's fits approach from above
     q = parse_quiver(text)
     levels = stepped_series_levels(q, 240)
+    exact = catalog_for(q).single_crossing
+    assert not exact or log_spectral_radius(q) == 0.0
     for n_max in (30, 60, 120, 240):
         for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            want = growth_rate(q, n_max, lambda n: plain_log_sum_exp(
+            fit = growth_rate(q, n_max, lambda n: plain_log_sum_exp(
                 [math.log(d) - m * t for m, d in levels[n].items()]))
-            assert entropy_estimate(q, t, n_max).hex() == want.hex()
+            if exact:
+                assert entropy_estimate(q, t, n_max).hex() == (t + 0.0).hex()
+                assert 0.0 < fit - t < 2.0 / n_max
+            else:
+                assert entropy_estimate(q, t, n_max).hex() == fit.hex()
 
 
 @pytest.mark.parametrize("name", ("K3", "K4", "K5"))
@@ -398,7 +409,7 @@ def test_each_estimate_is_fitted_once_per_series(fits):
 
 
 def test_series_caches_are_bounded(fits):
-    q = parse_quiver("K2")
+    q = parse_quiver("A4")  # Dynkin: estimated by fits, where the memo is
     ts = [j / 8.0 for j in range(100)]
     hs = [entropy_estimate(q, t, 30) for t in ts]
     assert len(fits) == 100
@@ -409,6 +420,15 @@ def test_series_caches_are_bounded(fits):
     assert len(vars(series)["estimates"]) == 64
     assert set(series.logs) == {d for lev in series.levels for d in lev.values()}
     assert entropy_series.cache_info().maxsize == 64
+
+
+def test_off_dynkin_estimates_need_no_fit(fits):
+    for text in ("K2", MORE_QUIVERS["A~2"], MORE_QUIVERS["D~4"]):
+        q = parse_quiver(text)
+        entropy_profile(q, (-1.0, 0.0, 1.0), 30)
+        volume(q, 2.0, 30)
+        assert "estimates" not in vars(entropy_series(q, 30))
+    assert fits == []
 
 
 def test_entropy_chain_reads_no_pairwise_table(monkeypatch):
@@ -447,10 +467,100 @@ def test_sdim_exact_and_window_on_a2():
 
 
 def test_sdim_on_kronecker():
-    sd = sdim_estimate(K2, 30)
-    assert sd.exact is None
-    assert abs(sd.upper - 29.0 / 30.0) < 1e-12
-    assert abs(sd.lower - 29.0 / 30.0) < 1e-12
+    # Sdim = 1 on every connected non-Dynkin quiver, tame or wild: S^n G
+    # sits in the one shift n - 1
+    for n_max in (1, 30, 240):
+        assert sdim_estimate(K2, n_max) == (1.0, 1.0, Fraction(1))
+    for text in (MORE_QUIVERS["A~2"], MORE_QUIVERS["D~4"]):
+        assert sdim_estimate(parse_quiver(text), 30) == (1.0, 1.0, Fraction(1))
+    assert sdim_estimate(K3, 30, 10**30) == (1.0, 1.0, Fraction(1))
+    with pytest.raises(BudgetExceeded, match="at n=11"):
+        sdim_estimate(K3, 30)
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 6))
+def test_wild_kronecker_entropy_is_t_plus_log_rho(m):
+    # Phi has characteristic polynomial x^2 - (m^2 - 2) x + 1
+    q = parse_quiver("K%d" % m)
+    log_rho = math.log((m * m - 2 + m * math.sqrt(m * m - 4)) / 2)
+    assert abs(log_spectral_radius(q) - log_rho) < 1e-12
+    for n_max in (30, 60):
+        budget = sum(entropy_series(q, n_max, 10**200).levels[n_max].values()) + 1
+        for t in (-2.0, 0.0, 1.5):
+            assert abs(entropy_estimate(q, t, n_max, budget) - (t + log_rho)) < 1e-12
+    with pytest.raises(BudgetExceeded):
+        entropy_estimate(q, 0.0, 30)
+
+
+@pytest.mark.parametrize("text", (
+    "K2",
+    MORE_QUIVERS["A~2"],
+    "vertices:4; arrows:1->2,2->3,3->4,1->4",  # A~3
+    MORE_QUIVERS["D~4"],
+    "vertices:6; arrows:1->3,2->3,3->4,4->5,4->6",  # D~5
+))
+def test_tame_quivers_have_log_rho_exactly_zero(text):
+    q = parse_quiver(text)
+    assert classify_dynkin(q) is None
+    assert log_spectral_radius(q) == 0.0
+    assert entropy_estimate(q, 0.0, 30) == 0.0
+
+
+def random_non_dynkin_quivers(seed: int, count: int) -> list:
+    """Distinct connected acyclic non-Dynkin quivers on 2..6 vertices: a
+    random spanning tree plus up to two edges, oriented along a shuffled
+    vertex order, each edge doubled with probability 1/5."""
+    gen = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = gen.randint(2, 6)
+        order = list(range(1, n + 1))
+        gen.shuffle(order)  # every arrow runs forward along this order
+        edges = {(gen.randint(0, w - 1), w) for w in range(1, n)}
+        for _ in range(gen.randint(0, 2)):
+            edges.add(tuple(sorted(gen.sample(range(n), 2))))
+        arrows = []
+        for i, j in sorted(edges):
+            arrows += [(order[i], order[j])] * (2 if gen.random() < 0.2 else 1)
+        q = Quiver(n, tuple(arrows))
+        if classify_dynkin(q) is None and q not in out:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", random_non_dynkin_quivers(2026, 20), ids=Quiver.text)
+def test_log_spectral_radius_matches_eigenvalues_and_series(q):
+    import numpy as np
+
+    phi = np.array(coxeter_matrix(q).coxeter, dtype=float)
+    want = math.log(float(np.max(np.abs(np.linalg.eigvals(phi)))))
+    got = log_spectral_radius(q)
+    if got == 0.0:
+        # tame: eigenvalue 1 has a Jordan block, which eigvals resolves only
+        # to ~sqrt(machine epsilon)
+        assert abs(want) < 1e-7
+        return
+    assert abs(got - want) < 1e-9
+    levels = entropy_series(q, 61, 10**200).levels
+    f60, f61 = sum(levels[60].values()), sum(levels[61].values())
+    assert abs(got - math.log(f61 / f60)) < 1e-9
+
+
+@pytest.mark.parametrize("text", ("K2", MORE_QUIVERS["D~4"]))
+def test_off_dynkin_orbit_takes_no_catalog_step(monkeypatch, text):
+    q = parse_quiver(text)
+    g = standard_generator(q)
+    cat = catalog_for(q)
+
+    def no_step(ident):
+        raise AssertionError("serre_step")
+
+    monkeypatch.setattr(cat, "serre_step", no_step)
+    monkeypatch.setattr(cat, "serre_inv_step", no_step)
+    levels = list(serre_orbit(g, 240))
+    assert len(levels) == 241
+    for n, summands in enumerate(levels):
+        assert serre_apply(g, n).summands == summands
 
 
 def test_volume_values():
