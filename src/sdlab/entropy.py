@@ -3,31 +3,46 @@
 The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
 generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
 level n is the total dimension of each summand N[b] of S^n G, added at
-m = -b, and past the first return S^p G = G[k] level n is level n - p with
-every m moved by -k; no pairwise Euler form is read.  Off Dynkin, on a
-connected quiver, S P_i = I_i and then S = tau[1] along the preinjectives,
-so S^n G for n >= 1 sits in the one shift n - 1 and level n is the single
-integer |sum A^n [G]| at m = 1 - n, one matrix-vector product per level.
-Disconnected quivers keep the walk: a component may be Dynkin, where orbits
-cross from the projectives to the injectives again and again.  Entropy at
-parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t).  Off
-Dynkin, on a connected quiver, f_n(t) = |sum A^n [G]| exp((n - 1) t), so
-h_t = t + log rho(Phi) exactly and both Serre dimensions are 1; the series
-is still read, for its budget.  Elsewhere `growth_rate` fits a + b/n over a
-deterministic subsequence and reports the extrapolated intercept.
+m = -b; no pairwise Euler form is read.  When G's Serre walk returns,
+S^p G = G[k] (on every Dynkin quiver, with p dividing h, and on A2 + A2),
+a series keeps levels 0..p-1 and k only and reads level n as level n mod p
+with every m moved by -(n // p) k; on a Dynkin quiver the catalog walks
+that period once for all n_max.  Off Dynkin, on a connected quiver,
+S P_i = I_i and then S = tau[1] along the preinjectives, so S^n G for
+n >= 1 sits in the one shift n - 1 and level n is the single integer
+|sum A^n [G]| at m = 1 - n, stepped by the Cayley-Hamilton recurrence of
+the Coxeter polynomial.  Disconnected quivers keep the walk, bounded by
+n_max: a component may be Dynkin, where orbits cross from the projectives
+to the injectives again and again, or wild.
+
+Entropy at parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t).
+Off Dynkin, on a connected quiver, f_n(t) = |sum A^n [G]| exp((n - 1) t),
+so h_t = t + log rho(Phi) exactly and both Serre dimensions are 1; the
+estimators read no series there, so no budget binds them.  Elsewhere
+`growth_rate` fits a + b/n over a deterministic subsequence and reports the
+extrapolated intercept.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .catalog import catalog_for
-from .derived import require_nonzero, serre_walk, standard_generator
+from .derived import serre_walk, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
-from .quivers import Quiver, classify_dynkin, int_mat_vec, log_spectral_radius
+from .quivers import (
+    Quiver,
+    classify_dynkin,
+    coxeter_polynomial,
+    int_mat_vec,
+    log_spectral_radius,
+)
 
 DEFAULT_BUDGET = 10**9
 
@@ -44,30 +59,67 @@ def log_sum_exp(terms) -> float:
     return total
 
 
+class _Period(Sequence):
+    """Items 0..length - 1 read off one stored period: item n is
+    moved(period[n % p], (n // p) k) for p = len(period).  Each read builds
+    a fresh item, so no caller can change a stored one."""
+
+    __slots__ = ("period", "k", "length", "moved")
+
+    def __init__(self, period: list, k: int, length: int, moved):
+        self.period, self.k, self.length, self.moved = period, k, length, moved
+
+    def __len__(self) -> int:
+        return self.length
+
+    def locate(self, n: int):
+        """(the stored item of item n, its move); negative n counts from the end."""
+        if not -self.length <= n < self.length:
+            raise IndexError("series index out of range")
+        q, r = divmod(n % self.length, len(self.period))
+        return self.period[r], q * self.k
+
+    def _items(self, ns):
+        p, k, moved = len(self.period), self.k, self.moved
+        return (moved(self.period[n % p], n // p * k) for n in ns)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(self._items(range(*n.indices(self.length))))
+        return self.moved(*self.locate(n))
+
+    def __iter__(self):
+        return self._items(range(self.length))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, (tuple, list, _Period)) and len(self) == len(other)
+                and all(map(operator.eq, self, other)))
+
+    __hash__ = None
+
+
+def _moved_level(level: dict, move: int) -> dict:
+    """The level with every key moved by -move, in the same order."""
+    return {m - move: d for m, d in level.items()}
+
+
 class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_plus")):
     # no __slots__: each series keeps its caches in its instance dict
     quiver: Quiver
     n_max: int
-    levels: tuple  # levels[n] is a dict m -> dim Hom(G, S^n G[m])
-    m_minus: tuple  # -min support per n
-    m_plus: tuple  # -max support per n
+    levels: Sequence  # levels[n] is a dict m -> dim Hom(G, S^n G[m])
+    m_minus: Sequence  # -min support per n
+    m_plus: Sequence  # -max support per n
 
     @functools.cached_property
     def logs(self) -> dict:
         """log dim for each dimension in the levels, computed once."""
-        return {d: math.log(d) for lev in self.levels for d in lev.values()}
-
-    @functools.cached_property
-    def log_rho(self) -> float | None:
-        """log rho(Phi) where h_t = t + log rho exactly: off Dynkin, on a
-        connected quiver; None elsewhere."""
-        if catalog_for(self.quiver).single_crossing:
-            return log_spectral_radius(self.quiver)
-        return None
+        return {d: math.log(d) for lev in self.levels.period for d in lev.values()}
 
     def log_f(self, n: int, t: float) -> float:
         """log f_n(t) via a log-sum-exp over `logs`, safe for large |m t|."""
-        return log_sum_exp(self.logs[d] - m * t for m, d in self.levels[n].items())
+        lev, move = self.levels.locate(n)
+        return log_sum_exp(self.logs[d] - (m - move) * t for m, d in lev.items())
 
 
 def _kclass_levels(cat, n_max: int):
@@ -75,18 +127,33 @@ def _kclass_levels(cat, n_max: int):
     the preinjectives, which never reach a projective.  So for n >= 1,
     S^n G = sum_i tau^(n-1) I_i [n-1] sits in one shift, its K-class
     A^n [G] is (-1)^(n-1) times its dimension vector, and level n is
-    {1 - n: |sum A^n [G]|}: one integer vector stepped by A, and no catalog
-    entry made."""
+    {1 - n: |s_n|} for s_n = sum A^n [G]; no catalog entry is made.  By
+    Cayley-Hamilton s_(n+d) = -sum_i a_i s_(n+i) for the characteristic
+    polynomial sum a_i x^i of A = -Phi, read off Phi's as
+    a_i = (-1)^(d-i) c_i; d - 1 matrix-vector steps seed it."""
     w = tuple(map(sum, zip(*(cat.entries[i].dim_vector for i in cat.proj_ids))))
-    yield {0: sum(w)}
-    for n in range(1, n_max + 1):
-        w = int_mat_vec(cat.serre_k, w)
-        yield {1 - n: abs(sum(w))}
+    c = coxeter_polynomial(cat.quiver)
+    d = len(c) - 1
+    a = [-x if (d - i) % 2 else x for i, x in enumerate(c[:d])]
+    last = []  # s_(n-d)..s_(n-1)
+    for n in range(n_max + 1):
+        if n < d:
+            s = sum(w)
+            if n + 1 < d:
+                w = int_mat_vec(cat.serre_k, w)
+        else:
+            s = -sum(map(operator.mul, a, last))
+            del last[0]
+        last.append(s)
+        yield {1 - n if n else 0: abs(s)}  # G itself sits in shift 0
 
 
-def _walked_levels(cat, g, n_max: int):
-    """The levels off `serre_walk`; past its first return p, level n is level
-    n - p with every key moved by -k, in the same order, so log_f keeps its bits."""
+def _walked_levels(cat, n_max: int):
+    """(level, None) for each level of G's Serre walk up to n_max, then
+    (None, k) at its first return S^p G = G[k].  A complete catalog holds
+    the walk to its return (`IndecCatalog.generator_walk`); a disconnected
+    quiver is walked here, bounded by n_max, as a component may be wild."""
+    g = standard_generator(cat.quiver)
     # log_f sums a level in dict order, so keys enter in the order that
     # hom_poincare(G, S^n G) gives them: each summand N counts from the first
     # projective of G that maps to it, and the stable sort keeps the summand
@@ -97,55 +164,71 @@ def _walked_levels(cat, g, n_max: int):
         dim = cat.entries[pair[0]].dim_vector
         return next(j for j, v in enumerate(tops) if dim[v])
 
-    levels = []
-    for pairs, k in serre_walk(g, n_max):
+    walk = cat.generator_walk() if cat.is_complete else serre_walk(g, n_max)
+    for pairs, k in itertools.islice(walk, n_max + 1):
         if k is not None:
-            break
+            yield None, k
+            return
         lev: dict[int, int] = {}
         for ident, b in sorted(pairs, key=first_hom):
             lev[-b] = lev.get(-b, 0) + sum(cat.entries[ident].dim_vector)
-        levels.append(lev)
-        yield lev
-    p = len(levels)
-    for n in range(p, n_max + 1):
-        levels.append({m - k: d for m, d in levels[n - p].items()})
-        yield levels[-1]
+        yield lev, None
 
 
-@functools.lru_cache(maxsize=64)
-def _series(q: Quiver, n_max: int, budget: int) -> EntropySeries:
+def _check_sizes(n_max: int, budget: int) -> None:
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     if budget < 1:
         raise ConfigError("budget must be at least 1")
+
+
+@functools.lru_cache(maxsize=64)
+def _series(q: Quiver, n_max: int, budget: int) -> EntropySeries:
+    _check_sizes(n_max, budget)
     cat = catalog_for(q)
-    g = standard_generator(q)
-    require_nonzero(g, "generator")
-    levels = []
-    for n, lev in enumerate(_kclass_levels(cat, n_max) if cat.single_crossing
-                            else _walked_levels(cat, g, n_max)):
+    if cat.single_crossing:
+        walk = ((lev, None) for lev in _kclass_levels(cat, n_max))
+    else:
+        walk = _walked_levels(cat, n_max)
+    period, k = [], 0
+    for lev, ret in walk:
+        if ret is not None:
+            k = ret
+            break
         total = sum(lev.values())
         if total > budget:
             raise BudgetExceeded(
-                "hom dimensions reached %d at n=%d (budget %d)" % (total, n, budget)
+                "hom dimensions reached %d at n=%d (budget %d)" % (total, len(period), budget)
             )
-        levels.append(lev)
-    return EntropySeries(q, n_max, tuple(levels), tuple(-min(lev) for lev in levels),
-                         tuple(-max(lev) for lev in levels))
+        period.append(lev)
+    return EntropySeries(q, n_max, _Period(period, k, n_max + 1, _moved_level),
+                         _Period([-min(lev) for lev in period], k, n_max + 1, operator.add),
+                         _Period([-max(lev) for lev in period], k, n_max + 1, operator.add))
 
 
 def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
     """Levels 0..n_max, cached once per (q, n_max, budget) whether or not the
-    budget is passed.  Off Dynkin on a connected quiver they are one integer
-    recurrence (`_kclass_levels`).  On a Dynkin quiver orbits cross from the
-    projectives to the injectives again and again, so the levels are read off
-    `serre_walk`; so are a disconnected quiver's, as a component may be Dynkin
-    (and A2 + A2 has a period)."""
+    budget is passed.  When G's walk returns, S^p G = G[k] with p <= n_max,
+    only levels 0..p-1 and k are kept, and `levels`, `m_minus` and `m_plus`
+    are read-only sequences that read level n as level n % p with every key
+    moved by -(n // p) k.  Off Dynkin on a connected quiver the levels are
+    one integer recurrence (`_kclass_levels`).  On a Dynkin quiver orbits
+    cross from the projectives to the injectives again and again, so the
+    levels are read off the catalog's one walk of G; a disconnected quiver
+    walks G itself (and A2 + A2 has a period)."""
     return _series(q, n_max, budget)
 
 
 entropy_series.cache_info = _series.cache_info
 entropy_series.cache_clear = _series.cache_clear
+
+
+def _exact_log_rho(q: Quiver, n_max: int, budget: int) -> float | None:
+    """log rho(Phi) where h_t = t + log rho exactly: off Dynkin, on a
+    connected quiver, where the estimators read no level; None elsewhere.
+    The sizes are checked as the series checks them."""
+    _check_sizes(n_max, budget)
+    return log_spectral_radius(q) if catalog_for(q).single_crossing else None
 
 
 def tail_window(n_max: int) -> range:
@@ -176,12 +259,13 @@ def entropy_estimate(
     q: Quiver, t: float, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Categorical entropy h_t of the Serre functor.  Off Dynkin, on a
-    connected quiver, it is t + log rho(Phi) exactly, and n_max only bounds
-    the series read for its budget; elsewhere it is extrapolated from the
-    series by `growth_rate` once per t and series."""
+    connected quiver, it is t + log rho(Phi) exactly and reads no series;
+    elsewhere it is extrapolated from the series by `growth_rate` once per t
+    and series."""
+    log_rho = _exact_log_rho(q, n_max, budget)
+    if log_rho is not None:
+        return t + log_rho
     series = entropy_series(q, n_max, budget)
-    if series.log_rho is not None:
-        return t + series.log_rho
     memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
     h = memo.get(t)
     if h is None:
@@ -203,16 +287,15 @@ class SerreDims(namedtuple("SerreDims", "upper lower exact")):
 def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> SerreDims:
     """Upper and lower Serre dimension.  Off Dynkin, on a connected quiver,
     S^n G sits in the one shift n - 1, so both are exactly 1, as is the
-    exact field, once the series has been read for its budget.  Elsewhere
-    they are read off the shift-support growth of S^n G, windowed over the
-    tail half, and the exact field carries (h - 2) / h on Dynkin quivers and
-    None otherwise."""
-    series = entropy_series(q, n_max, budget)
-    if series.log_rho is not None:
+    exact field, and no series is read.  Elsewhere they are read off the
+    shift-support growth of S^n G, windowed over the tail half, and the
+    exact field carries (h - 2) / h on Dynkin quivers and None otherwise."""
+    if _exact_log_rho(q, n_max, budget) is not None:
         return SerreDims(upper=1.0, lower=1.0, exact=Fraction(1))
+    series = entropy_series(q, n_max, budget)
     window = tail_window(n_max)
-    upper = max(series.m_minus[n] / n for n in window)
-    lower = max(series.m_plus[n] / n for n in window)
+    upper = max(m / n for n, m in zip(window, series.m_minus[window.start:]))
+    lower = max(m / n for n, m in zip(window, series.m_plus[window.start:]))
     dyn = classify_dynkin(q)
     exact = Fraction(dyn.coxeter_number - 2, dyn.coxeter_number) if dyn else None
     return SerreDims(upper=upper, lower=lower, exact=exact)

@@ -236,18 +236,23 @@ def coxeter_matrix(q: Quiver) -> EulerData:
     return EulerData(euler=eul, coxeter=cox, serre_k_action=serre)
 
 
-def _char_poly(a: Sequence[Sequence[int]]) -> list[int]:
-    """det(x I - a), coefficients from x^0 up, by Faddeev-LeVerrier in exact
-    ints: M_k = a M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(a M_k) / k."""
-    n = len(a)
+@cache
+def coxeter_polynomial(q: Quiver) -> tuple[int, ...]:
+    """det(x I - Phi) for the Coxeter matrix Phi, coefficients from x^0 up,
+    by Faddeev-LeVerrier in exact ints: M_k = Phi M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(Phi M_k) / k.  Memoized per quiver: `log_spectral_radius`
+    isolates its largest root, and the entropy series steps its
+    Cayley-Hamilton recurrence."""
+    a = coxeter_matrix(q).coxeter
+    n = q.n
     c = [0] * n + [1]
-    am = [[0] * n for _ in range(n)]  # a M_(k-1), from M_0 = 0
+    am = [[0] * n for _ in range(n)]  # Phi M_(k-1), from M_0 = 0
     for k in range(1, n + 1):
         for i in range(n):
             am[i][i] += c[n - k + 1]
         am = int_mat_mul(a, am)
         c[n - k] = -sum(am[i][i] for i in range(n)) // k
-    return c
+    return tuple(c)
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -318,7 +323,7 @@ def log_spectral_radius(q: Quiver) -> float:
     endpoints agree.  `serre_k` = -Phi has the eigenvalue -rho instead.
     Memoized per quiver.
     """
-    chain = _sturm_chain(_char_poly(coxeter_matrix(q).coxeter))
+    chain = _sturm_chain(list(coxeter_polynomial(q)))
     at_infinity = sum((s[-1] > 0) != (t[-1] > 0) for s, t in zip(chain, chain[1:]))
 
     def above(a: int, k: int) -> bool:  # a root in (a / 2^k, oo)

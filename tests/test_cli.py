@@ -151,9 +151,21 @@ def test_domain_errors_exit_three(capsys):
     )
     assert code == 3
     assert json.loads(err)["error"]["type"] == "CyclicQuiver"
-    code, _, err = _run(capsys, ["entropy", "--quiver", "K3", "--t", "0"])
+    code, _, err = _run(capsys, ["entropy", "--quiver", "K3", "--series"])
     assert code == 3
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
+def test_off_dynkin_estimates_bind_no_budget(capsys):
+    # exact off Dynkin, so a wild quiver's estimates read no series
+    code, out, _ = _run(capsys, ["sdim", "--quiver", "K3"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["upper"], report["lower"], report["exact"]) == (1.0, 1.0, "1/1")
+    code, out, _ = _run(capsys, ["entropy", "--quiver", "K3", "--t", "0"])
+    assert code == 0 and json.loads(out)["estimate"] == 1.9248473002384139
+    code, out, _ = _run(capsys, ["volume", "--quiver", "K3", "--lam", "2"])
+    assert code == 0 and json.loads(out)["table"]["rows"] == [[2.0, 13.708203932499371]]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -29,7 +29,13 @@ from sdlab import (
 )
 from sdlab.derived import serre_orbit
 from sdlab.entropy import growth_rate
-from sdlab.quivers import Quiver, coxeter_matrix, log_spectral_radius
+from sdlab.quivers import (
+    Quiver,
+    coxeter_matrix,
+    coxeter_polynomial,
+    int_mat_mul,
+    log_spectral_radius,
+)
 
 from orientations import every_orientation
 
@@ -104,8 +110,8 @@ def test_budget_guard_fires_on_wild_quiver():
     with pytest.raises(BudgetExceeded) as err:
         entropy_series(K3, 30)
     assert str(err.value) == "hom dimensions reached 1339571480 at n=11 (budget 1000000000)"
-    with pytest.raises(BudgetExceeded):
-        entropy_estimate(K3, 0.0, 30)
+    # the estimate is exact off Dynkin and reads no series, so no budget
+    assert entropy_estimate(K3, 0.0, 30) == 1.9248473002384139
 
 
 def test_budget_below_one_is_a_config_error():
@@ -181,6 +187,79 @@ def test_orbit_apply_and_series_match_the_stepped_oracle(text, n):
         assert list(got.items()) == list(want.items())
     assert series.m_minus == tuple(-min(lev) for lev in expect)
     assert series.m_plus == tuple(-max(lev) for lev in expect)
+
+
+def _view_cases():
+    for name in ("A4", "D6", "E7", "E8", "A2+A2"):
+        q = parse_quiver(MORE_QUIVERS.get(name, name))
+        p = first_return(stepped_levels(standard_generator(q), 30))
+        for n in (p - 1, p, p + 1, 10**4):
+            yield pytest.param(q, n, id="%s-%d" % (name, n))
+    # A2 + A3: no period, so every level is walked and kept
+    for n in (11, 12, 13, 1000):
+        yield pytest.param(parse_quiver("vertices:5; arrows:1->2,3->4,4->5"), n,
+                           id="A2+A3-%d" % n)
+
+
+@pytest.mark.parametrize("q,n", list(_view_cases()))
+def test_period_view_matches_the_stepped_oracle(q, n):
+    # levels, m_minus and m_plus are sequences read off one period; the
+    # oracle steps every summand n times and reads sampled levels pairwise
+    g = standard_generator(q)
+    stepped = stepped_levels(g, n)
+    p = first_return(stepped) or n + 1
+    series = entropy_series(q, n)
+
+    def want(j):
+        return hom_poincare(g, DerivedObject.create(q, stepped[j]))
+
+    assert len(series.levels) == len(series.m_minus) == len(series.m_plus) == n + 1
+    picks = sorted({j for j in (0, 1, p - 1, p, p + 1, 2 * p + 1, n // 2, n - 1, n) if 0 <= j <= n})
+    for j in picks:
+        expect = want(j)
+        for index in (j, j - n - 1):  # negative indices count from the end
+            assert list(series.levels[index].items()) == list(expect.items())
+            assert series.m_minus[index] == -min(expect)
+            assert series.m_plus[index] == -max(expect)
+    for cut in (slice(-3, None), slice(max(p - 1, 0), p + 2), slice(n, 0, -max(1, n // 5))):
+        js = range(*cut.indices(n + 1))
+        got = series.levels[cut]
+        assert isinstance(got, tuple) and len(got) == len(js)
+        assert [list(lev.items()) for lev in got] == [list(want(j).items()) for j in js]
+        assert series.m_minus[cut] == tuple(-min(want(j)) for j in js)
+        assert series.m_plus[cut] == tuple(-max(want(j)) for j in js)
+    for index in (n + 1, -n - 2):
+        with pytest.raises(IndexError):
+            series.levels[index]
+        with pytest.raises(IndexError):
+            series.m_minus[index]
+
+
+def test_changing_a_returned_level_changes_no_series():
+    q = parse_quiver("E8")
+    a, b = entropy_series(q, 60), entropy_series(q, 240)
+    before = [list(s.levels[j].items()) for s in (a, b) for j in (0, 14, 20, 60)]
+    for s in (a, b):
+        for lev in (s.levels[0], s.levels[20], *s.levels[14:16], *s.levels):
+            lev[99] = 1
+            lev.pop(next(iter(lev)))
+    assert [list(s.levels[j].items()) for s in (a, b) for j in (0, 14, 20, 60)] == before
+    assert entropy_series(q, 30).levels[20] == a.levels[20]
+
+
+def test_dynkin_series_of_every_n_max_share_one_walk(monkeypatch):
+    # stepping G's period once per series would take 4 x 15 x 8 = 480 calls
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    entropy_series.cache_clear()
+    q = parse_quiver("E8")
+    cat, g = catalog_for(q), standard_generator(q)
+    p = first_return(stepped_levels(g, 30))
+    calls = []
+    real = cat.serre_step
+    monkeypatch.setattr(cat, "serre_step", lambda ident: calls.append(ident) or real(ident))
+    for n_max in (30, 60, 120, 240):
+        entropy_series(q, n_max)
+    assert len(calls) <= p * g.total_summands() == 120
 
 
 def orbit_entry(x, j, inverse=False):
@@ -375,7 +454,7 @@ def test_wild_kroneckers_exceed_the_budget_where_the_stepped_orbit_does(name):
     message = "hom dimensions reached %d at n=%d (budget %d)" % (totals[n], n, DEFAULT_BUDGET)
     for n_max in (30, 60, 120, 240):
         with pytest.raises(BudgetExceeded) as err:
-            entropy_estimate(q, 0.0, n_max)
+            entropy_series(q, n_max)
         assert str(err.value) == message
 
 
@@ -474,8 +553,8 @@ def test_sdim_on_kronecker():
     for text in (MORE_QUIVERS["A~2"], MORE_QUIVERS["D~4"]):
         assert sdim_estimate(parse_quiver(text), 30) == (1.0, 1.0, Fraction(1))
     assert sdim_estimate(K3, 30, 10**30) == (1.0, 1.0, Fraction(1))
-    with pytest.raises(BudgetExceeded, match="at n=11"):
-        sdim_estimate(K3, 30)
+    # no series is read, so the default budget does not bind
+    assert sdim_estimate(K3, 30) == (1.0, 1.0, Fraction(1))
 
 
 @pytest.mark.parametrize("m", (3, 4, 5, 6))
@@ -488,8 +567,8 @@ def test_wild_kronecker_entropy_is_t_plus_log_rho(m):
         budget = sum(entropy_series(q, n_max, 10**200).levels[n_max].values()) + 1
         for t in (-2.0, 0.0, 1.5):
             assert abs(entropy_estimate(q, t, n_max, budget) - (t + log_rho)) < 1e-12
-    with pytest.raises(BudgetExceeded):
-        entropy_estimate(q, 0.0, 30)
+    # with the default budget too: the estimate reads no series
+    assert entropy_estimate(q, 0.0, 30) == log_spectral_radius(q)
 
 
 @pytest.mark.parametrize("text", (
@@ -544,6 +623,42 @@ def test_log_spectral_radius_matches_eigenvalues_and_series(q):
     levels = entropy_series(q, 61, 10**200).levels
     f60, f61 = sum(levels[60].values()), sum(levels[61].values())
     assert abs(got - math.log(f61 / f60)) < 1e-9
+
+
+RECURRENCE_QUIVERS = [parse_quiver(text) for text in (
+    "K2", "K3", "K4", "K5",
+    MORE_QUIVERS["A~2"],
+    "vertices:4; arrows:1->2,2->3,3->4,1->4",  # A~3
+    MORE_QUIVERS["D~4"],
+    "vertices:6; arrows:1->3,2->3,3->4,4->5,4->6",  # D~5
+)]
+
+
+@pytest.mark.parametrize("q", RECURRENCE_QUIVERS + random_non_dynkin_quivers(2026, 20),
+                         ids=Quiver.text)
+def test_kclass_recurrence_equals_stepping_by_a(q):
+    # off Dynkin level n is {1 - n: |sum A^n [G]|}: here every level is
+    # stepped by the matrix A, where the series runs Cayley-Hamilton on
+    # Phi's characteristic polynomial after d - 1 steps
+    cat = catalog_for(q)
+    assert cat.single_crossing
+    # Cayley-Hamilton: sum_i c_i Phi^i = 0
+    phi = coxeter_matrix(q).coxeter
+    power = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
+    total = [[0] * q.n for _ in range(q.n)]
+    for c in coxeter_polynomial(q):
+        total = [[t + c * x for t, x in zip(tr, pr)] for tr, pr in zip(total, power)]
+        power = int_mat_mul(power, phi)
+    assert total == [[0] * q.n for _ in range(q.n)]
+    w = [sum(col) for col in zip(*(cat.entries[i].dim_vector for i in cat.proj_ids))]
+    want = [{0: sum(w)}]
+    for n in range(1, 241):
+        w = [sum(a * b for a, b in zip(row, w)) for row in cat.serre_k]
+        want.append({1 - n: abs(sum(w))})
+    for n_max in sorted(set(range(1, q.n + 1)) | {q.n + 1, 240}):
+        levels = entropy_series(q, n_max, 10**2000).levels
+        assert [list(lev.items()) for lev in levels] == [
+            list(lev.items()) for lev in want[:n_max + 1]]
 
 
 @pytest.mark.parametrize("text", ("K2", MORE_QUIVERS["D~4"]))

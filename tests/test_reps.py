@@ -1,5 +1,6 @@
 import pytest
 
+import sdlab.catalog
 import sdlab.reps
 
 from sdlab import (
@@ -15,6 +16,7 @@ from sdlab import (
     save_catalog,
 )
 from sdlab import exactmat as xm
+from sdlab.quivers import Quiver
 from sdlab.reps import (
     Representation,
     ar_translate,
@@ -137,6 +139,22 @@ def test_catalog_sizes_match_root_counts():
         cat = catalog_for(q)
         assert cat.size() == count
         assert set(cat.by_dim) == set(positive_roots(q))
+
+
+def test_catalog_lookup_formats_no_text(monkeypatch):
+    # catalogs are keyed by the quiver value: text() is one-to-one on
+    # (n, arrows), so the same quivers share a catalog as before
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    q = parse_quiver("vertices:5; arrows:2->1,3->1,4->1,5->1")
+    cat = catalog_for(q)
+
+    def no_text(self):
+        raise AssertionError("Quiver.text")
+
+    monkeypatch.setattr(Quiver, "text", no_text)
+    assert catalog_for(q) is cat
+    assert catalog_for(Quiver(q.n, tuple(q.arrows))) is cat
+    assert catalog_for(Quiver(q.n, q.arrows[::-1])) is not cat
 
 
 def _assert_hom_table_matches_exact(q):
