@@ -10,11 +10,8 @@ on a connected quiver, a power S^p is read the same way off A^p dim M in one
 matrix power (`serre_power`): there an orbit crosses from the projectives to
 the injectives at most once.  Hom and Ext come from one integer table of
 the Euler form, chi = D E D^T over the dimension vectors D, so nothing here
-calls into the exact representations of `reps`.  A complete catalog also
-keeps the Serre walk of the projective generator up to its first return
-(`generator_walk`), which every entropy series of its quiver reads.  Both
-are built on first use, and `catalog_for` keys its catalogs by the quiver
-value.
+calls into the exact representations of `reps`.  `catalog_for` keys its
+catalogs by the quiver value.
 """
 
 from __future__ import annotations
@@ -94,7 +91,6 @@ class IndecCatalog:
         self.inj_ids: list[int] = []
         self._steps: dict[tuple[int, int], tuple[int, int]] = {}
         self._chi_rows: list[tuple[int, ...]] | None = None
-        self._generator_walk: tuple | None = None
         for dim, proj_vertex, inj_vertex in records or self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
         self._link()
@@ -220,20 +216,6 @@ class IndecCatalog:
             dims = [e.dim_vector for e in self.entries]
             self._chi_rows = [int_mat_vec(dims, r) for r in int_mat_mul(dims, self.euler)]
         return self._chi_rows
-
-    def generator_walk(self) -> tuple:
-        """The Serre walk of the projective generator G of a complete catalog
-        up to its first return S^p G = G[k], as `derived.serre_walk` yields
-        it: (summands of S^j G, None) for j < p, then (summands, k).  On a
-        Dynkin quiver p <= h since S^h = [h - 2].  Walked on first use, so
-        every entropy series of the quiver reads one walk."""
-        if self._generator_walk is None:
-            self.require_complete()
-            from .derived import serre_walk, standard_generator  # derived imports this module
-
-            self._generator_walk = tuple(
-                serre_walk(standard_generator(self.quiver), self.dynkin.coxeter_number))
-        return self._generator_walk
 
     def chi(self, a: int, b: int) -> int:
         """hom - ext^1.  Every cataloged entry lies in a directed component,

@@ -3,17 +3,15 @@
 The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
 generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
 level n is the total dimension of each summand N[b] of S^n G, added at
-m = -b; no pairwise Euler form is read.  When G's Serre walk returns,
-S^p G = G[k] (on every Dynkin quiver, with p dividing h, and on A2 + A2),
-a series keeps levels 0..p-1 and k only and reads level n as level n mod p
-with every m moved by -(n // p) k; on a Dynkin quiver the catalog walks
-that period once for all n_max.  Off Dynkin, on a connected quiver,
-S P_i = I_i and then S = tau[1] along the preinjectives, so S^n G for
-n >= 1 sits in the one shift n - 1 and level n is the single integer
-|sum A^n [G]| at m = 1 - n, stepped by the Cayley-Hamilton recurrence of
-the Coxeter polynomial.  Disconnected quivers keep the walk, bounded by
-n_max: a component may be Dynkin, where orbits cross from the projectives
-to the injectives again and again, or wild.
+m = -b; no pairwise Euler form is read.  On Dynkin and disconnected
+quivers the levels are read off G's Serre walk, bounded by n_max.  When it
+returns, S^p G = G[k] (on every Dynkin quiver, with p dividing h, and on
+A2 + A2), the walk stops and a series keeps levels 0..p-1 and k only,
+reading level n as level n mod p with every m moved by -(n // p) k.  Off
+Dynkin, on a connected quiver, S P_i = I_i and then S = tau[1] along the
+preinjectives, so S^n G for n >= 1 sits in the one shift n - 1 and level n
+is the single integer |sum A^n [G]| at m = 1 - n, stepped by the
+Cayley-Hamilton recurrence of the Coxeter polynomial.
 
 Entropy at parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t).
 Off Dynkin, on a connected quiver, f_n(t) = |sum A^n [G]| exp((n - 1) t),
@@ -26,7 +24,6 @@ extrapolated intercept.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections import namedtuple
@@ -149,10 +146,8 @@ def _kclass_levels(cat, n_max: int):
 
 
 def _walked_levels(cat, n_max: int):
-    """(level, None) for each level of G's Serre walk up to n_max, then
-    (None, k) at its first return S^p G = G[k].  A complete catalog holds
-    the walk to its return (`IndecCatalog.generator_walk`); a disconnected
-    quiver is walked here, bounded by n_max, as a component may be wild."""
+    """(level, None) for each level of G's Serre walk (`serre_walk`) up to
+    n_max, then (None, k) at its first return S^p G = G[k]."""
     g = standard_generator(cat.quiver)
     # log_f sums a level in dict order, so keys enter in the order that
     # hom_poincare(G, S^n G) gives them: each summand N counts from the first
@@ -164,8 +159,7 @@ def _walked_levels(cat, n_max: int):
         dim = cat.entries[pair[0]].dim_vector
         return next(j for j, v in enumerate(tops) if dim[v])
 
-    walk = cat.generator_walk() if cat.is_complete else serre_walk(g, n_max)
-    for pairs, k in itertools.islice(walk, n_max + 1):
+    for pairs, k in serre_walk(g, n_max):
         if k is not None:
             yield None, k
             return
@@ -214,21 +208,13 @@ def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> Entro
     moved by -(n // p) k.  Off Dynkin on a connected quiver the levels are
     one integer recurrence (`_kclass_levels`).  On a Dynkin quiver orbits
     cross from the projectives to the injectives again and again, so the
-    levels are read off the catalog's one walk of G; a disconnected quiver
-    walks G itself (and A2 + A2 has a period)."""
+    levels are read off `serre_walk`; so are a disconnected quiver's, as a
+    component may be Dynkin (and A2 + A2 has a period)."""
     return _series(q, n_max, budget)
 
 
 entropy_series.cache_info = _series.cache_info
 entropy_series.cache_clear = _series.cache_clear
-
-
-def _exact_log_rho(q: Quiver, n_max: int, budget: int) -> float | None:
-    """log rho(Phi) where h_t = t + log rho exactly: off Dynkin, on a
-    connected quiver, where the estimators read no level; None elsewhere.
-    The sizes are checked as the series checks them."""
-    _check_sizes(n_max, budget)
-    return log_spectral_radius(q) if catalog_for(q).single_crossing else None
 
 
 def tail_window(n_max: int) -> range:
@@ -262,9 +248,9 @@ def entropy_estimate(
     connected quiver, it is t + log rho(Phi) exactly and reads no series;
     elsewhere it is extrapolated from the series by `growth_rate` once per t
     and series."""
-    log_rho = _exact_log_rho(q, n_max, budget)
-    if log_rho is not None:
-        return t + log_rho
+    _check_sizes(n_max, budget)
+    if catalog_for(q).single_crossing:
+        return t + log_spectral_radius(q)
     series = entropy_series(q, n_max, budget)
     memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
     h = memo.get(t)
@@ -290,7 +276,8 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
     exact field, and no series is read.  Elsewhere they are read off the
     shift-support growth of S^n G, windowed over the tail half, and the
     exact field carries (h - 2) / h on Dynkin quivers and None otherwise."""
-    if _exact_log_rho(q, n_max, budget) is not None:
+    _check_sizes(n_max, budget)
+    if catalog_for(q).single_crossing:
         return SerreDims(upper=1.0, lower=1.0, exact=Fraction(1))
     series = entropy_series(q, n_max, budget)
     window = tail_window(n_max)

@@ -247,19 +247,20 @@ def test_changing_a_returned_level_changes_no_series():
     assert entropy_series(q, 30).levels[20] == a.levels[20]
 
 
-def test_dynkin_series_of_every_n_max_share_one_walk(monkeypatch):
-    # stepping G's period once per series would take 4 x 15 x 8 = 480 calls
-    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
-    entropy_series.cache_clear()
+def test_dynkin_series_stop_stepping_at_the_first_return(monkeypatch):
+    # past S^p G = G[k] every level is read off the period: each series
+    # takes p levels of |G| steps, where stepping to n_max would take 240 x 8
     q = parse_quiver("E8")
     cat, g = catalog_for(q), standard_generator(q)
     p = first_return(stepped_levels(g, 30))
     calls = []
     real = cat.serre_step
     monkeypatch.setattr(cat, "serre_step", lambda ident: calls.append(ident) or real(ident))
+    entropy_series.cache_clear()
     for n_max in (30, 60, 120, 240):
-        entropy_series(q, n_max)
-    assert len(calls) <= p * g.total_summands() == 120
+        calls.clear()
+        assert len(entropy_series(q, n_max).levels) == n_max + 1
+        assert len(calls) <= p * g.total_summands() == 120
 
 
 def orbit_entry(x, j, inverse=False):
