@@ -11,7 +11,9 @@ matrix power (`serre_power`): there an orbit crosses from the projectives to
 the injectives at most once.  Hom and Ext come from one integer table of
 the Euler form, chi = D E D^T over the dimension vectors D, so nothing here
 calls into the exact representations of `reps`.  `catalog_for` keys its
-catalogs by the quiver value.
+catalogs by the quiver value.  The Dynkin knitting is the package's one
+source of positive roots (`positive_roots` reads it), certified by the Tits
+form and the count nh/2; the reflection closure is only a test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .quivers import (
     int_mat_mul,
     int_mat_vec,
     path_counts,
-    positive_roots,
+    tits_form,
 )
 
 CATALOG_FORMAT_VERSION = 2
@@ -129,13 +131,19 @@ class IndecCatalog:
 
     def _link(self) -> None:
         """proj/inj ids from the flags; on a Dynkin quiver, the check that
-        the dimension vectors are exactly the positive roots."""
+        the dimension vectors are exactly the positive roots: nh/2 distinct
+        nonnegative vectors of Tits form 1, as a Dynkin quiver of rank n and
+        Coxeter number h has nh/2 positive roots and they are all such
+        vectors (Gabriel, Kac)."""
         proj = {e.proj_vertex: e.ident for e in self.entries if e.is_projective}
         inj = {e.inj_vertex: e.ident for e in self.entries if e.is_injective}
         vertices = range(1, self.quiver.n + 1)
         self.proj_ids = [proj[i] for i in vertices]
         self.inj_ids = [inj[i] for i in vertices]
-        if self.dynkin is not None and sorted(self.by_dim) != positive_roots(self.quiver):
+        dyn = self.dynkin
+        if dyn is not None and (
+                len(self.by_dim) != dyn.rank * dyn.coxeter_number // 2
+                or not all(min(d) >= 0 and tits_form(self.quiver, d) == 1 for d in self.by_dim)):
             raise AssertionError("catalog dimension vectors are not the positive roots")
 
     @property

@@ -31,7 +31,6 @@ from .quivers import (
     classify_dynkin,
     coxeter_matrix,
     parse_quiver,
-    positive_roots,
 )
 
 
@@ -99,7 +98,8 @@ def _cmd_quiver(ns: argparse.Namespace) -> dict:
             "coxeter_number": dyn.coxeter_number,
             "fcy_pair": list(dyn.fcy_pair),
         }
-        report["positive_root_count"] = len(positive_roots(q))
+        # |Phi+| = nh/2, the count the catalog's knitting is certified by
+        report["positive_root_count"] = dyn.rank * dyn.coxeter_number // 2
     else:
         report["dynkin"] = None
     return report

@@ -149,18 +149,11 @@ def genus1_pair_sup(cs: CurveStability, r_max: int = 50, d_max: int = 50) -> flo
         raise ConfigError("r_max^2 d_max must be below 2^52")
     import numpy as np
 
-    rs, ds = [], []
-    for d in range(1, d_max + 1):  # torsion classes
-        rs.append(0)
-        ds.append(d)
-    for r in range(1, r_max + 1):
-        for d in range(-d_max, d_max + 1):
-            rs.append(r)
-            ds.append(d)
-    r_arr = np.array(rs, dtype=float)
-    d_arr = np.array(ds, dtype=float)
+    # the torsion classes (0, 1..d_max), then (r, -d_max..d_max) for each r
+    r_arr = np.r_[np.zeros(d_max), np.repeat(np.arange(1.0, r_max + 1), 2 * d_max + 1)]
+    d_arr = np.r_[np.arange(1.0, d_max + 1), np.tile(np.arange(-d_max, d_max + 1.0), r_max)]
     phases = np.arctan2(r_arr * cs.H, r_arr * cs.beta - d_arr) / np.pi
-    slopes = np.full(len(rs), np.inf)
+    slopes = np.full(len(r_arr), np.inf)
     np.divide(d_arr, r_arr, out=slopes, where=r_arr > 0)
     order = np.argsort(slopes)
     slopes, phases = slopes[order], phases[order]

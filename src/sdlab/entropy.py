@@ -261,6 +261,16 @@ def entropy_estimate(
     return h
 
 
+def _tail_max(support: _Period, n_max: int) -> float:
+    """max m_n / n over the tail window, read at no more than 2p of its n:
+    on each class n = qp + r, (m_r + qk) / (qp + r) is monotone in q, and so
+    is its correctly rounded quotient, so the window's first and last period
+    hold the maximum."""
+    window = tail_window(n_max)
+    p = len(support.period)
+    return max(support[n] / n for n in (*window[:p], *window[p:][-p:]))
+
+
 class SerreDims(namedtuple("SerreDims", "upper lower exact")):
     __slots__ = ()
 
@@ -280,9 +290,7 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
     if catalog_for(q).single_crossing:
         return SerreDims(upper=1.0, lower=1.0, exact=Fraction(1))
     series = entropy_series(q, n_max, budget)
-    window = tail_window(n_max)
-    upper = max(m / n for n, m in zip(window, series.m_minus[window.start:]))
-    lower = max(m / n for n, m in zip(window, series.m_plus[window.start:]))
+    upper, lower = _tail_max(series.m_minus, n_max), _tail_max(series.m_plus, n_max)
     dyn = classify_dynkin(q)
     exact = Fraction(dyn.coxeter_number - 2, dyn.coxeter_number) if dyn else None
     return SerreDims(upper=upper, lower=lower, exact=exact)

@@ -1,4 +1,5 @@
 """Quiver combinatorics: Euler form, Coxeter matrix, ADE detection, roots.
+The positive roots are the catalog's dimension vectors (see `catalog`).
 
 Vertices are 1-based in all public interfaces (matching the text grammar);
 matrices and dimension vectors are 0-indexed internally.
@@ -434,35 +435,11 @@ def classify_dynkin(q: Quiver) -> DynkinClass | None:
 
 
 def positive_roots(q: Quiver) -> list[tuple[int, ...]]:
-    """All positive roots of the Tits form, via reflection closure.
-
-    Start from the simple roots and close under the simple reflections
-    s_i(d) = d - (d, e_i) e_i (symmetrized pairing); keep the nonnegative
-    vectors.  Finite exactly in the Dynkin case, which the precondition
-    guarantees.
-    """
+    """All positive roots of the Tits form, sorted: on a Dynkin quiver they
+    are the dimension vectors of the indecomposables (Gabriel 1972), so they
+    are read off the catalog's Coxeter knitting, which checks them."""
     if classify_dynkin(q) is None:
         raise NotDynkin("positive roots need an ADE quiver")
-    n = q.n
-    e = euler_matrix(q)
-    sym_rows = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
+    from .catalog import catalog_for
 
-    def reflect(d: tuple[int, ...], i: int) -> tuple[int, ...]:
-        pairing = sum(map(operator.mul, sym_rows[i], d))
-        out = list(d)
-        out[i] -= pairing
-        return tuple(out)
-
-    simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new = []
-        for d in frontier:
-            for i in range(n):
-                r = reflect(d, i)
-                if r not in seen:
-                    seen.add(r)
-                    new.append(r)
-        frontier = new
-    return sorted(d for d in seen if all(x >= 0 for x in d) and any(x > 0 for x in d))
+    return sorted(catalog_for(q).by_dim)

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import exactmat as xm
 from .catalog import IndecCatalog, catalog_for
-from .errors import NotARoot, NotIndecomposable, QuiverMismatch
+from .errors import NotARoot, NotDynkin, NotIndecomposable, QuiverMismatch
 from .prng import SplitMix64, fold_seed
-from .quivers import Quiver, euler_form, positive_roots
+from .quivers import Quiver, classify_dynkin, euler_form
 
 
 class Representation(namedtuple("Representation", "quiver dim_vector arrow_maps")):
@@ -339,7 +339,9 @@ def catalog_reps(cat: IndecCatalog) -> list[Representation | None]:
 def indecomposable_from_root(q: Quiver, d) -> Representation:
     """The unique indecomposable with dimension vector d (Dynkin only)."""
     key = tuple(int(x) for x in d)
-    if key not in set(positive_roots(q)):
-        raise NotARoot("%s is not a positive root" % (key,))
+    if classify_dynkin(q) is None:
+        raise NotDynkin("positive roots need an ADE quiver")
     cat = catalog_for(q)  # its dimension vectors are the positive roots
+    if key not in cat.by_dim:
+        raise NotARoot("%s is not a positive root" % (key,))
     return catalog_reps(cat)[cat.by_dim[key]]

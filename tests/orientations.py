@@ -1,6 +1,8 @@
-"""Orientations of a Dynkin tree, for tests that sweep them."""
+"""Orientations of a Dynkin tree, for tests that sweep or draw them."""
 
 import itertools
+
+from hypothesis import strategies as st
 
 from sdlab import parse_quiver
 from sdlab.quivers import Quiver
@@ -15,3 +17,17 @@ def oriented(text, flips):
 def every_orientation(text):
     edges = len(parse_quiver(text).undirected_edges())
     return [oriented(text, flips) for flips in itertools.product((0, 1), repeat=edges)]
+
+
+@st.composite
+def drawn_orientations(draw, shapes):
+    """A Dynkin tree of a preset in `shapes` with shuffled labels and random arrows."""
+    edges = parse_quiver(draw(st.sampled_from(shapes))).undirected_edges()
+    n = len(edges) + 1
+    label = draw(st.permutations(range(1, n + 1)))
+    flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    arrows = tuple(
+        (label[v - 1], label[u - 1]) if flip else (label[u - 1], label[v - 1])
+        for (u, v), flip in zip(edges, flips)
+    )
+    return Quiver(n, arrows)

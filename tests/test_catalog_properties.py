@@ -3,11 +3,9 @@ orientations of Dynkin trees."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from sdlab import CatalogIncomplete, IndecCatalog, euler_form, parse_quiver
 from sdlab.prng import SplitMix64, fold_seed
-from sdlab.quivers import Quiver
 from sdlab.reps import (
     ar_translate,
     catalog_reps,
@@ -16,29 +14,15 @@ from sdlab.reps import (
     projective_rep,
 )
 
-from orientations import every_orientation, oriented
+from orientations import drawn_orientations, every_orientation, oriented
 
 # largest first: the first example hypothesis tries is then E6
 SHAPES = ["E6"] + ["D%d" % n for n in range(7, 3, -1)] + ["A%d" % n for n in range(7, 1, -1)]
 
 
-@st.composite
-def orientations(draw):
-    """A Dynkin tree from SHAPES with shuffled labels and random arrows."""
-    edges = parse_quiver(draw(st.sampled_from(SHAPES))).undirected_edges()
-    n = len(edges) + 1
-    label = draw(st.permutations(range(1, n + 1)))
-    flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
-    arrows = tuple(
-        (label[v - 1], label[u - 1]) if flip else (label[u - 1], label[v - 1])
-        for (u, v), flip in zip(edges, flips)
-    )
-    return Quiver(n, arrows)
-
-
 @settings(derandomize=True, max_examples=10, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(orientations())
+@given(drawn_orientations(SHAPES))
 def test_catalog_matches_exact_oracle(q):
     cat = IndecCatalog(q)
     reps = catalog_reps(cat)
@@ -75,7 +59,7 @@ def _assert_round_trip(cat, ident):
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(orientations())
+@given(drawn_orientations(SHAPES))
 def test_serre_steps_round_trip_on_dynkin(q):
     cat = IndecCatalog(q)
     for ident in range(cat.size()):

@@ -13,7 +13,11 @@ repeated) append to one output file, one entry per workload.
 Per end-to-end metric the output holds the pairs, each side's median and
 quartiles (`statistics.quantiles`, inclusive method), the change's wins
 (ties count for neither side) and the gap of the medians, and per side the
-failed and attempted ops and whether every run read `correct`.  With
+failed and attempted ops and whether every run read `correct`.  A metric
+with a `bound` in BENCHMARK.json gets `within_bound`: false when the
+change's median is worse than the parent's by more than that bound as a
+share of the parent's median, and the progress line after each pair names
+every metric whose pairs so far are out of bound.  With
 `--claim`, a metric counts as improved when the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more than
 the distance between the parent's quartiles.  Standard library only.
@@ -43,11 +47,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def spread(values: list) -> dict:
+    if len(values) == 1:  # quantiles needs two points
+        return {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(runs: list, better: dict, claim: str | None) -> dict:
+def summarize(runs: list, better: dict, bounds: dict, claim: str | None) -> dict:
     metrics = {}
     for name in runs[0]["parent"]["metrics"]:
         pairs = [(r["parent"]["metrics"][name]["value"], r["change"]["metrics"][name]["value"])
@@ -67,6 +73,8 @@ def summarize(runs: list, better: dict, claim: str | None) -> dict:
             "median_gap_ratio": (change["median"] / parent["median"] - 1
                                  if parent["median"] else None),
         }
+        if name in bounds:
+            entry["within_bound"] = -gain <= bounds[name] * abs(parent["median"])
         if name == claim:
             entry["claim_met"] = (10 * entry["wins"] >= 9 * len(pairs)
                                   and gain > parent["iqr"])
@@ -101,6 +109,7 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     out = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {
         "environment": environment(), "workloads": {}}
     for workload in args.workload:
@@ -111,13 +120,15 @@ def main(argv=None) -> int:
             for side in order:
                 run[side] = run_once(getattr(args, side).resolve(), workload, seed, args.seconds)
             runs.append(run)
-            print("%s seed %d: %s" % (workload, seed, " ".join(
+            summary = summarize(runs, better, bounds, args.claim)
+            out_of_bound = [name for name, m in summary["metrics"].items()
+                            if not m.get("within_bound", True)]
+            print("%s seed %d: %s; out of bound: %s" % (workload, seed, " ".join(
                 "%s %s=%.6g" % (side, args.claim or "wall_s",
                                 run[side]["metrics"][args.claim or "wall_s"]["value"])
-                for side in order)), flush=True)
+                for side in order), ", ".join(out_of_bound) or "none"), flush=True)
         out["workloads"][workload] = {"seconds": args.seconds, "seeds": seeds,
-                                      "claim": args.claim, "runs": runs,
-                                      **summarize(runs, better, args.claim)}
+                                      "claim": args.claim, "runs": runs, **summary}
         args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
