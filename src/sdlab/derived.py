@@ -3,17 +3,20 @@
 Over a hereditary algebra every object splits into shifts of modules, so a
 finite multiset of (catalog id, shift) pairs is a faithful model.  The Serre
 functor acts summand by summand through the catalog's step maps, up to the
-first return S^p X = X[k].  Off Dynkin, on a connected quiver, an orbit
+first return S^p X = X[k], and `serre_orbit` reads the orbit as one `Period`
+view of the levels up to it.  Off Dynkin, on a connected quiver, an orbit
 crosses from the projectives to the injectives at most once, so `serre_apply`
-maps each summand through one matrix power A^p instead, and `serre_orbit`
-through one A per level; disconnected quivers keep the steps, as their
-Dynkin components cross many times (and A2 + A2 has a period).  Hom Poincare
+maps each summand through one matrix power A^p instead, and each orbit level
+is one such power; disconnected quivers keep the steps, as their Dynkin
+components cross many times (and A2 + A2 has a period).  Hom Poincare
 data comes from the catalog's pairwise Euler form with degree bookkeeping.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .catalog import IndecCatalog, catalog_for
 from .errors import QuiverMismatch, ZeroObject
@@ -37,6 +40,45 @@ class DerivedObject(namedtuple("DerivedObject", "quiver summands")):
 
     def total_summands(self) -> int:
         return len(self.summands)
+
+
+class Period(Sequence):
+    """Items 0..length - 1 read off one stored period: item n is
+    moved(period[n % p], (n // p) k) for p = len(period).  Each read builds
+    a fresh item, so no caller can change a stored one."""
+
+    __slots__ = ("period", "k", "length", "moved")
+
+    def __init__(self, period: list, k: int, length: int, moved):
+        self.period, self.k, self.length, self.moved = period, k, length, moved
+
+    def __len__(self) -> int:
+        return self.length
+
+    def locate(self, n: int):
+        """(the stored item of item n, its move); negative n counts from the end."""
+        if not -self.length <= n < self.length:
+            raise IndexError("period view index out of range")
+        q, r = divmod(n % self.length, len(self.period))
+        return self.period[r], q * self.k
+
+    def _items(self, ns):
+        p, k, moved = len(self.period), self.k, self.moved
+        return (moved(self.period[n % p], n // p * k) for n in ns)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(self._items(range(*n.indices(self.length))))
+        return self.moved(*self.locate(n))
+
+    def __iter__(self):
+        return self._items(range(self.length))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, (tuple, list, Period)) and len(self) == len(other)
+                and all(map(operator.eq, self, other)))
+
+    __hash__ = None
 
 
 def standard_generator(q: Quiver) -> DerivedObject:
@@ -72,44 +114,31 @@ def serre_walk(x: DerivedObject, n: int):
 def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
     """S^power X, by the inverse for negative powers.  Off Dynkin, on a
     connected quiver, each summand goes through one matrix power
-    (`IndecCatalog.serre_power`).  Otherwise it is read off `serre_walk`:
-    past its first return p, S^(qp + r) X = S^r X[qk]."""
+    (`IndecCatalog.serre_power`); otherwise it is `serre_orbit`'s last item."""
     cat = catalog_for(x.quiver)
     if cat.single_crossing:
         images = cat.serre_power([i for i, _ in x.summands], power)
         return DerivedObject.create(
             x.quiver, [(j, s + sigma) for (_, s), (j, sigma) in zip(x.summands, images)])
-    levels = []
-    for pairs, k in serre_walk(x, power):
-        if k is not None:
-            q, r = divmod(abs(power), len(levels))
-            return DerivedObject(x.quiver, levels[r]).shift(q * k)
+    return DerivedObject(x.quiver, serre_orbit(x, power)[-1])
+
+
+def serre_orbit(x: DerivedObject, n: int) -> Period:
+    """The summands of S^j X for j = 0..|n|, by S^-1 when n < 0, as a
+    `Period` view whose item j is serre_apply(x, +-j).summands.  Off Dynkin,
+    on a connected quiver, each read is that one matrix power, so no step is
+    memoized; otherwise `serre_walk` runs to its first return p, and item j
+    is level j % p shifted by (j // p) k."""
+    if catalog_for(x.quiver).single_crossing:
+        return Period([x.summands], 1 if n >= 0 else -1, abs(n) + 1,
+                      lambda pairs, j: serre_apply(DerivedObject(x.quiver, pairs), j).summands)
+    levels, k = [], 0
+    for pairs, ret in serre_walk(x, n):
+        if ret is not None:
+            k = ret
+            break
         levels.append(pairs)
-    return DerivedObject(x.quiver, levels[-1])
-
-
-def serre_orbit(x: DerivedObject, n_max: int):
-    """The summands of S^n X for n = 0..n_max, as serre_apply(x, n).summands:
-    off Dynkin, on a connected quiver, each level is the last one through
-    `IndecCatalog.serre_power` by 1, so no step is memoized; otherwise
-    `serre_walk` to its first return p, then level n % p shifted by (n // p) k."""
-    cat = catalog_for(x.quiver)
-    if cat.single_crossing:
-        pairs = x.summands
-        yield pairs
-        for _ in range(n_max):
-            images = cat.serre_power([i for i, _ in pairs], 1)
-            pairs = tuple(sorted((j, s + d) for (_, s), (j, d) in zip(pairs, images)))
-            yield pairs
-        return
-    levels = []
-    for pairs, k in serre_walk(x, n_max):
-        if k is None:
-            levels.append(pairs)
-            yield pairs
-    p = len(levels)
-    for n in range(p, n_max + 1):
-        yield tuple((i, s + n // p * k) for i, s in levels[n % p])
+    return Period(levels, k, abs(n) + 1, lambda pairs, j: tuple((i, s + j) for i, s in pairs))
 
 
 def hom_poincare(x: DerivedObject, y: DerivedObject) -> dict[int, int]:

@@ -27,11 +27,10 @@ import functools
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .catalog import catalog_for
-from .derived import serre_walk, standard_generator
+from .derived import Period, serre_walk, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
 from .quivers import (
     Quiver,
@@ -56,45 +55,6 @@ def log_sum_exp(terms) -> float:
     return total
 
 
-class _Period(Sequence):
-    """Items 0..length - 1 read off one stored period: item n is
-    moved(period[n % p], (n // p) k) for p = len(period).  Each read builds
-    a fresh item, so no caller can change a stored one."""
-
-    __slots__ = ("period", "k", "length", "moved")
-
-    def __init__(self, period: list, k: int, length: int, moved):
-        self.period, self.k, self.length, self.moved = period, k, length, moved
-
-    def __len__(self) -> int:
-        return self.length
-
-    def locate(self, n: int):
-        """(the stored item of item n, its move); negative n counts from the end."""
-        if not -self.length <= n < self.length:
-            raise IndexError("series index out of range")
-        q, r = divmod(n % self.length, len(self.period))
-        return self.period[r], q * self.k
-
-    def _items(self, ns):
-        p, k, moved = len(self.period), self.k, self.moved
-        return (moved(self.period[n % p], n // p * k) for n in ns)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return tuple(self._items(range(*n.indices(self.length))))
-        return self.moved(*self.locate(n))
-
-    def __iter__(self):
-        return self._items(range(self.length))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, (tuple, list, _Period)) and len(self) == len(other)
-                and all(map(operator.eq, self, other)))
-
-    __hash__ = None
-
-
 def _moved_level(level: dict, move: int) -> dict:
     """The level with every key moved by -move, in the same order."""
     return {m - move: d for m, d in level.items()}
@@ -104,9 +64,9 @@ class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_p
     # no __slots__: each series keeps its caches in its instance dict
     quiver: Quiver
     n_max: int
-    levels: Sequence  # levels[n] is a dict m -> dim Hom(G, S^n G[m])
-    m_minus: Sequence  # -min support per n
-    m_plus: Sequence  # -max support per n
+    levels: Period  # levels[n] is a dict m -> dim Hom(G, S^n G[m])
+    m_minus: Period  # -min support per n
+    m_plus: Period  # -max support per n
 
     @functools.cached_property
     def logs(self) -> dict:
@@ -195,9 +155,9 @@ def _series(q: Quiver, n_max: int, budget: int) -> EntropySeries:
                 "hom dimensions reached %d at n=%d (budget %d)" % (total, len(period), budget)
             )
         period.append(lev)
-    return EntropySeries(q, n_max, _Period(period, k, n_max + 1, _moved_level),
-                         _Period([-min(lev) for lev in period], k, n_max + 1, operator.add),
-                         _Period([-max(lev) for lev in period], k, n_max + 1, operator.add))
+    return EntropySeries(q, n_max, Period(period, k, n_max + 1, _moved_level),
+                         Period([-min(lev) for lev in period], k, n_max + 1, operator.add),
+                         Period([-max(lev) for lev in period], k, n_max + 1, operator.add))
 
 
 def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
@@ -245,11 +205,12 @@ def entropy_estimate(
     q: Quiver, t: float, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Categorical entropy h_t of the Serre functor.  Off Dynkin, on a
-    connected quiver, it is t + log rho(Phi) exactly and reads no series;
-    elsewhere it is extrapolated from the series by `growth_rate` once per t
-    and series."""
+    connected quiver, it is t + log rho(Phi) exactly and reads no series; on
+    a Dynkin quiver it is extrapolated from the series by `growth_rate` once
+    per t and series.  A disconnected quiver raises DisconnectedQuiver
+    before any series is read."""
     _check_sizes(n_max, budget)
-    if catalog_for(q).single_crossing:
+    if classify_dynkin(q) is None:  # a disconnected quiver raises here
         return t + log_spectral_radius(q)
     series = entropy_series(q, n_max, budget)
     memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
@@ -261,7 +222,7 @@ def entropy_estimate(
     return h
 
 
-def _tail_max(support: _Period, n_max: int) -> float:
+def _tail_max(support: Period, n_max: int) -> float:
     """max m_n / n over the tail window, read at no more than 2p of its n:
     on each class n = qp + r, (m_r + qk) / (qp + r) is monotone in q, and so
     is its correctly rounded quotient, so the window's first and last period
@@ -283,17 +244,18 @@ class SerreDims(namedtuple("SerreDims", "upper lower exact")):
 def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> SerreDims:
     """Upper and lower Serre dimension.  Off Dynkin, on a connected quiver,
     S^n G sits in the one shift n - 1, so both are exactly 1, as is the
-    exact field, and no series is read.  Elsewhere they are read off the
-    shift-support growth of S^n G, windowed over the tail half, and the
-    exact field carries (h - 2) / h on Dynkin quivers and None otherwise."""
+    exact field, and no series is read.  On a Dynkin quiver they are read
+    off the shift-support growth of S^n G, windowed over the tail half, and
+    the exact field carries (h - 2) / h.  A disconnected quiver raises
+    DisconnectedQuiver before any series is read."""
     _check_sizes(n_max, budget)
-    if catalog_for(q).single_crossing:
+    dyn = classify_dynkin(q)  # a disconnected quiver raises here
+    if dyn is None:
         return SerreDims(upper=1.0, lower=1.0, exact=Fraction(1))
     series = entropy_series(q, n_max, budget)
     upper, lower = _tail_max(series.m_minus, n_max), _tail_max(series.m_plus, n_max)
-    dyn = classify_dynkin(q)
-    exact = Fraction(dyn.coxeter_number - 2, dyn.coxeter_number) if dyn else None
-    return SerreDims(upper=upper, lower=lower, exact=exact)
+    h = dyn.coxeter_number
+    return SerreDims(upper=upper, lower=lower, exact=Fraction(h - 2, h))
 
 
 def volume(q: Quiver, lam: float, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> float:

@@ -1,5 +1,8 @@
 """Quiver combinatorics: Euler form, Coxeter matrix, ADE detection, roots.
-The positive roots are the catalog's dimension vectors (see `catalog`).
+A connected quiver is Dynkin exactly when its Tits form is positive definite,
+decided by the signs of the leading minors of its Gram matrix, whose
+determinant then names the ADE type.  The positive roots are the catalog's
+dimension vectors (see `catalog`).
 
 Vertices are 1-based in all public interfaces (matching the text grammar);
 matrices and dimension vectors are 0-indexed internally.
@@ -70,21 +73,7 @@ class Quiver(namedtuple("Quiver", "n arrows")):
         return [(min(s, t), max(s, t)) for s, t in self.arrows]
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = [[] for _ in range(self.n + 1)]
-        for s, t in self.arrows:
-            adj[s].append(t)
-            adj[t].append(s)
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return None not in _depths(self.n, self.arrows)[1:]
 
     def text(self) -> str:
         """Canonical description in the accepted grammar."""
@@ -110,51 +99,44 @@ class DynkinClass(namedtuple("DynkinClass", "series rank coxeter_number fcy_pair
     fcy_pair: tuple[int, int]  # (h, h-2)
 
 
-def _bipartite_orientation(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Orient tree edges color0 -> color1 (2-coloring from vertex 1), so
-    every vertex is a pure source or pure sink."""
-    adj = {v: [] for v in range(1, n + 1)}
+def _depths(n: int, edges) -> list[int | None]:
+    """Depth from vertex 1 of each vertex 1..n (index 0 unused) along the
+    edges taken as undirected, None where unreached."""
+    adj = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    color = {1: 0}
+    depth = [None] * (n + 1)
+    depth[1] = 0
     stack = [1]
     while stack:
         u = stack.pop()
         for w in adj[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
+            if depth[w] is None:
+                depth[w] = depth[u] + 1
                 stack.append(w)
-    return [(u, v) if color[u] == 0 else (v, u) for u, v in edges]
+    return depth
 
 
 def _preset(name: str) -> Quiver | None:
-    m = re.fullmatch(r"A(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            return None
+    """A<n>, D<n> and E6/E7/E8 with each tree edge oriented from its
+    even-depth end, so every vertex is a pure source or pure sink; K<m>."""
+    m = re.fullmatch(r"([ADEK])(\d+)", name)
+    if m is None:
+        return None
+    kind, n = m.group(1), int(m.group(2))
+    if kind == "K":
+        return Quiver(2, ((1, 2),) * n) if n >= 1 else None
+    if kind == "A" and n >= 1:
         edges = [(i, i + 1) for i in range(1, n)]
-        return Quiver(n, tuple(_bipartite_orientation(n, edges)))
-    m = re.fullmatch(r"D(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if n < 4:
-            return None
+    elif kind == "D" and n >= 4:
         edges = [(i, i + 1) for i in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
-        return Quiver(n, tuple(_bipartite_orientation(n, edges)))
-    m = re.fullmatch(r"E([678])", name)
-    if m:
-        n = int(m.group(1))
+    elif kind == "E" and m.group(2) in ("6", "7", "8"):
         edges = [(i, i + 1) for i in range(1, n - 1)] + [(3, n)]
-        return Quiver(n, tuple(_bipartite_orientation(n, edges)))
-    m = re.fullmatch(r"K(\d+)", name)
-    if m:
-        k = int(m.group(1))
-        if k < 1:
-            return None
-        return Quiver(2, tuple((1, 2) for _ in range(k)))
-    return None
+    else:
+        return None
+    depth = _depths(n, edges)
+    return Quiver(n, tuple((u, v) if depth[u] % 2 == 0 else (v, u) for u, v in edges))
 
 
 def parse_quiver(text: str) -> Quiver:
@@ -360,71 +342,50 @@ def coxeter_order(q: Quiver, cap: int = 64) -> int | None:
     return None
 
 
-def _shape_of_tree(q: Quiver) -> tuple[str, int] | None:
-    """Classify the underlying simple graph as an ADE tree, or None."""
-    edges = q.undirected_edges()
-    if len(set(edges)) != len(edges):
-        return None  # multi-edge
-    if len(edges) != q.n - 1:
-        return None  # tree has n-1 edges; connectedness checked by caller
-    deg = [0] * (q.n + 1)
-    adj = {v: [] for v in range(1, q.n + 1)}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(d > 3 for d in deg[1:]):
-        return None
-    branches = [v for v in range(1, q.n + 1) if deg[v] == 3]
-    if len(branches) > 1:
-        return None
-    if not branches:
-        return ("A", q.n)
-    b = branches[0]
-    # leg lengths (edge counts) from the branch vertex
-    legs = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while deg[cur] == 2:
-            nxt = next(w for w in adj[cur] if w != prev)
-            prev, cur = cur, nxt
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] != 1:
-        return None
-    if legs[1] == 1:
-        return ("D", q.n)
-    if legs[1] == 2 and legs[2] in (2, 3, 4):
-        return ("E", q.n)
-    return None
+def _tits_minors(q: Quiver) -> list[int]:
+    """The leading principal minors of C = 2I - A - A^T, the Gram matrix of
+    twice the Tits form, up to the first that is not positive: they are the
+    pivots of one fraction-free (Bareiss) elimination, exact in ints."""
+    a = q.arrow_counts()
+    m = [[2 * (i == j) - a[i][j] - a[j][i] for j in range(q.n)] for i in range(q.n)]
+    minors, prev = [], 1
+    for k in range(q.n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        if pivot <= 0:
+            break
+        for i in range(k + 1, q.n):
+            for j in range(k + 1, q.n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return minors
 
 
 @cache
 def classify_dynkin(q: Quiver) -> DynkinClass | None:
-    """ADE class with Coxeter number, or None for non-Dynkin shapes.
+    """ADE class with Coxeter number, or None for non-Dynkin quivers.
 
-    The tabulated h is cross-checked as the minimal m with Phi^m = id;
-    disagreement would mean a broken Coxeter matrix, so it raises.
-    Memoized per quiver; a raise is not cached, so a disconnected quiver
-    raises on every call.
+    A connected quiver is Dynkin exactly when its Tits form is positive
+    definite (Gabriel 1972), that is when every leading minor of its Gram
+    matrix C is positive (`_tits_minors`).  det C then names the type:
+    n + 1 for A_n (tested first, so A3 stays A3), 4 for D_n, and 3, 2, 1
+    for E6, E7, E8.  The tabulated h is cross-checked as the minimal m with
+    Phi^m = id; disagreement would mean a broken Coxeter matrix, so it
+    raises.  Memoized per quiver; a raise is not cached, so a disconnected
+    quiver raises on every call.
     """
     if not q.is_connected():
         raise DisconnectedQuiver("classification needs a connected quiver")
-    shape = _shape_of_tree(q)
-    if shape is None:
+    det = _tits_minors(q)[-1]  # det C when every minor is positive
+    if det <= 0:
         return None
-    series, rank = shape
-    if series == "A":
-        h = rank + 1
-    elif series == "D":
-        h = 2 * rank - 2
+    rank = q.n
+    if det == rank + 1:
+        series, h = "A", rank + 1
+    elif det == 4:
+        series, h = "D", 2 * rank - 2
     else:
-        if rank not in (6, 7, 8):
-            return None
-        h = {6: 12, 7: 18, 8: 30}[rank]
+        series, h = "E", {6: 12, 7: 18, 8: 30}[rank]
     order = coxeter_order(q, cap=h)
     if order != h:
         raise AssertionError(

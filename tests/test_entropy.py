@@ -11,6 +11,7 @@ from sdlab import (
     BudgetExceeded,
     ConfigError,
     DerivedObject,
+    DisconnectedQuiver,
     EmptyGrid,
     IndecCatalog,
     catalog_for,
@@ -120,6 +121,30 @@ def test_budget_below_one_is_a_config_error():
             entropy_series(A2, 30, budget)
     with pytest.raises(BudgetExceeded, match="reached 3 at n=0"):
         entropy_series(A2, 30, 2)
+
+
+def test_estimators_on_a_disconnected_quiver_raise_before_reading_a_series(monkeypatch):
+    q = parse_quiver("vertices:5; arrows:1->2,3->4,4->5")  # A2 + A3
+    assert len(entropy_series(q, 40).levels) == 41
+
+    def no_series(*args):
+        raise AssertionError("entropy series read")
+
+    monkeypatch.setattr(sdlab.entropy, "_series", no_series)
+    for estimate in (lambda: sdim_estimate(q, 100000), lambda: entropy_estimate(q, 0.0),
+                     lambda: entropy_profile(q, [-1.0, 0.0, 1.0]), lambda: volume(q, 2.0)):
+        with pytest.raises(DisconnectedQuiver):
+            estimate()
+
+
+def test_series_walk_stops_at_the_budget_on_a_disconnected_wild_quiver():
+    # K5 + A1 is walked summand by summand; the walk must stop at the level
+    # that breaks the budget, not take n_max steps first
+    q = parse_quiver("vertices:3; arrows:1->2,1->2,1->2,1->2,1->2")
+    with pytest.raises(BudgetExceeded) as err:
+        entropy_series(q, 20000)
+    assert str(err.value) == "hom dimensions reached 1071193208 at n=7 (budget 1000000000)"
+    assert catalog_for(q).size() <= 20
 
 
 def stepped_levels(x, n, inverse=False):

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdlab import IndecCatalog, classify_dynkin, entropy_series, parse_quiver, sdim_estimate
-from sdlab.entropy import _Period, _tail_max, tail_window
+from sdlab.derived import Period
+from sdlab.entropy import _tail_max, tail_window
 from sdlab.quivers import euler_matrix
 
 from orientations import drawn_orientations
@@ -107,5 +108,5 @@ def test_tail_max_is_the_window_scan_on_any_period(period, k):
     # the classes rise toward k / p from below as well as fall from above,
     # so both ends of the window count
     for n_max in range(1, 201):
-        support = _Period(period, k, n_max + 1, operator.add)
+        support = Period(period, k, n_max + 1, operator.add)
         assert _tail_max(support, n_max) == _window_scan(support, n_max)

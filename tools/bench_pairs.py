@@ -16,8 +16,11 @@ quartiles (`statistics.quantiles`, inclusive method), the change's wins
 failed and attempted ops and whether every run read `correct`.  A metric
 with a `bound` in BENCHMARK.json gets `within_bound`: false when the
 change's median is worse than the parent's by more than that bound as a
-share of the parent's median, and the progress line after each pair names
-every metric whose pairs so far are out of bound.  With
+share of the parent's median, and `unresolved`: true when the parent's
+own quartiles lie further apart than that bound, unless every change run
+beats every parent run, so the runs cannot tell a loss of that size from
+noise.  The progress line after each pair names every metric whose pairs
+so far are out of bound, and every unresolved one.  With
 `--claim`, a metric counts as improved when the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more than
 the distance between the parent's quartiles.  Standard library only.
@@ -74,7 +77,10 @@ def summarize(runs: list, better: dict, bounds: dict, claim: str | None) -> dict
                                  if parent["median"] else None),
         }
         if name in bounds:
-            entry["within_bound"] = -gain <= bounds[name] * abs(parent["median"])
+            allowed = bounds[name] * abs(parent["median"])
+            entry["within_bound"] = -gain <= allowed
+            entry["unresolved"] = (parent["iqr"] > allowed
+                                   and not all(sign * (c - p) > 0 for p, _ in pairs for _, c in pairs))
         if name == claim:
             entry["claim_met"] = (10 * entry["wins"] >= 9 * len(pairs)
                                   and gain > parent["iqr"])
@@ -121,12 +127,14 @@ def main(argv=None) -> int:
                 run[side] = run_once(getattr(args, side).resolve(), workload, seed, args.seconds)
             runs.append(run)
             summary = summarize(runs, better, bounds, args.claim)
-            out_of_bound = [name for name, m in summary["metrics"].items()
-                            if not m.get("within_bound", True)]
-            print("%s seed %d: %s; out of bound: %s" % (workload, seed, " ".join(
+            metrics = summary["metrics"].items()
+            out_of_bound = [name for name, m in metrics if not m.get("within_bound", True)]
+            unresolved = [name for name, m in metrics if m.get("unresolved")]
+            print("%s seed %d: %s; out of bound: %s; unresolved: %s" % (workload, seed, " ".join(
                 "%s %s=%.6g" % (side, args.claim or "wall_s",
                                 run[side]["metrics"][args.claim or "wall_s"]["value"])
-                for side in order), ", ".join(out_of_bound) or "none"), flush=True)
+                for side in order), ", ".join(out_of_bound) or "none",
+                ", ".join(unresolved) or "none"), flush=True)
         out["workloads"][workload] = {"seconds": args.seconds, "seeds": seeds,
                                       "claim": args.claim, "runs": runs, **summary}
         args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
