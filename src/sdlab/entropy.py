@@ -210,7 +210,7 @@ def entropy_estimate(
     per t and series.  A disconnected quiver raises DisconnectedQuiver
     before any series is read."""
     _check_sizes(n_max, budget)
-    if classify_dynkin(q) is None:  # a disconnected quiver raises here
+    if classify_dynkin(q) is None:
         return t + log_spectral_radius(q)
     series = entropy_series(q, n_max, budget)
     memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
@@ -249,7 +249,7 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
     the exact field carries (h - 2) / h.  A disconnected quiver raises
     DisconnectedQuiver before any series is read."""
     _check_sizes(n_max, budget)
-    dyn = classify_dynkin(q)  # a disconnected quiver raises here
+    dyn = classify_dynkin(q)
     if dyn is None:
         return SerreDims(upper=1.0, lower=1.0, exact=Fraction(1))
     series = entropy_series(q, n_max, budget)
