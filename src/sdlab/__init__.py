@@ -6,9 +6,11 @@ quiver through its finite hom/ext calculus: a catalog of indecomposables
 built from integer Coxeter data drives entropy and Serre dimension
 estimates, Gepner-point constructions, global dimension of stability
 conditions, mass growth, and full exceptional collection extraction.  The
-exact representations in `sdlab.reps` are an oracle for the tests and for
-`verify`; semistability is decided from the integer hom table.  A separate
-numeric module covers slope stability on smooth projective curves.
+exact representations in `sdlab.reps`, integer matrices whose ranks and
+kernels come from one fraction-free elimination (`sdlab.exactmat`), are an
+oracle for the tests and for `verify`; semistability is decided from the
+integer hom table.  A separate numeric module covers slope stability on
+smooth projective curves.
 """
 
 from .catalog import IndecCatalog, catalog_for, load_catalog, save_catalog

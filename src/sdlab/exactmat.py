@@ -1,33 +1,35 @@
-"""Small exact-rational matrix kernel.
+"""Small exact integer matrix kernel.
 
-The exact representation oracle (`reps.py`) runs over Fraction entries so
-that hom spaces, reflection functors and kernels are computed without
-rounding.
+The exact representation oracle (`reps.py`) runs over Python ints, so that
+hom spaces, reflection functors and kernels are computed without rounding.
+Ranks and kernels come from one fraction-free Gauss-Jordan elimination
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): every entry it writes is a minor of
+the input, so every division in it is exact and no rational ever appears.
 Matrices are immutable: a shape pair plus a tuple of row tuples.  Zero-row
 and zero-column shapes are first-class citizens; reflection functors produce
 them constantly (vertices with dimension 0).
 
-Floats never enter this module.  numpy is used elsewhere for float work.
+Floats never enter this module: a non-integral entry raises TypeError
+instead of being truncated.  numpy is used elsewhere for float work.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+from operator import index
 from typing import Iterable, Sequence
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 class Mat:
-    """Immutable rows x cols matrix of Fractions."""
+    """Immutable rows x cols matrix of ints."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]) -> None:
         self.rows = rows
         self.cols = cols
-        d = tuple(tuple(Fraction(x) for x in row) for row in data)
+        d = tuple(tuple(map(index, row)) for row in data)
         if len(d) != rows or any(len(r) != cols for r in d):
             raise ValueError("matrix data does not match shape (%d, %d)" % (rows, cols))
         self.data = d
@@ -46,16 +48,6 @@ class Mat:
     def __repr__(self) -> str:
         return "Mat(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.data])
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        ot = other.transpose().data
-        return Mat(
-            self.rows,
-            other.cols,
-            [[_dot(r, c) for c in ot] for r in self.data],
-        )
-
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
@@ -65,14 +57,7 @@ class Mat:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
         )
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-x for x in r] for r in self.data])
-
-    def scale(self, c) -> "Mat":
-        c = Fraction(c)
+    def scale(self, c: int) -> "Mat":
         return Mat(self.rows, self.cols, [[c * x for x in r] for r in self.data])
 
     def transpose(self) -> "Mat":
@@ -81,38 +66,9 @@ class Mat:
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
-
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        vv = [Fraction(x) for x in v]
-        return tuple(_dot(r, vv) for r in self.data)
-
-
-def _dot(a, b) -> Fraction:
-    s = Q0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
-
-
-def mat(rows: Sequence[Sequence]) -> Mat:
-    """Literal constructor; rows must be nonempty and rectangular."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise ValueError("use zeros(m, n) for empty shapes")
-    return Mat(len(rows), len(rows[0]), rows)
-
 
 def zeros(m: int, n: int) -> Mat:
-    return Mat(m, n, [[Q0] * n for _ in range(m)])
-
-
-def identity(n: int) -> Mat:
-    return Mat(n, n, [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)])
+    return Mat(m, n, [[0] * n for _ in range(m)])
 
 
 def hstack(mats: Sequence[Mat]) -> Mat:
@@ -136,80 +92,58 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     return Mat(sum(a.rows for a in mats), n, rows)
 
 
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form, returns (R, pivot columns)."""
-    m, n = a.rows, a.cols
+def _eliminate(a: Mat) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan form of a: (rows, pivot columns, D).
+
+    Each step with pivot p replaces every other row x by
+    (p x - f y) // p_prev, where y is the pivot row, f the row's entry in
+    the pivot column and p_prev the previous pivot (1 at first).  Every
+    division is exact.  In the final form pivot row i holds D, the last
+    pivot, in column pivots[i]; every other pivot-column entry is 0 and
+    rows past the pivots are 0.
+    """
     rows = [list(r) for r in a.data]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(a.cols):
+        r = len(pivots)
+        p = next((i for i in range(r, a.rows) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        inv = Q1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        y, piv = rows[r], rows[r][c]
+        for i, x in enumerate(rows):
+            if i != r:
+                f = x[c]
+                rows[i] = [(xv * piv - f * yv) // prev for xv, yv in zip(x, y)]
+        prev = piv
         pivots.append(c)
-        r += 1
-    return Mat(m, n, rows), tuple(pivots)
+    return rows, pivots, prev
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return len(_eliminate(a)[1])
 
 
 def right_kernel(a: Mat) -> Mat:
-    """Columns form a basis of {x : a x = 0}; shape (cols, cols - rank)."""
+    """Columns are integer vectors with coprime entries that form a basis
+    of {x : a x = 0}; shape (cols, cols - rank)."""
     n = a.cols
-    r, pivots = rref(a)
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots, d = _eliminate(a)
     basis_cols = []
-    for f in free:
-        v = [Q0] * n
-        v[f] = Q1
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = d
         for i, p in enumerate(pivots):
-            v[p] = -r.data[i][f]
-        basis_cols.append(v)
+            v[p] = -rows[i][f]
+        g = math.gcd(*v)
+        basis_cols.append([x // g for x in v])
     if not basis_cols:
         return zeros(n, 0)
-    return Mat(n, len(basis_cols), [[basis_cols[k][i] for k in range(len(basis_cols))] for i in range(n)])
+    return Mat(len(basis_cols), n, basis_cols).transpose()
 
 
 def left_kernel(a: Mat) -> Mat:
-    """Rows form a basis of {y : y a = 0}; shape (rows - rank, rows)."""
+    """Rows are integer vectors that form a basis of {y : y a = 0}; shape
+    (rows - rank, rows)."""
     return right_kernel(a.transpose()).transpose()
-
-
-def inverse(a: Mat) -> Mat:
-    if a.rows != a.cols:
-        raise ValueError("inverse of nonsquare matrix")
-    n = a.rows
-    aug = hstack([a, identity(n)])
-    r, pivots = rref(aug)
-    if list(pivots[:n]) != list(range(n)):
-        raise ValueError("singular matrix")
-    return Mat(n, n, [row[n:] for row in r.data])
-
-
-def from_int_rows(rows: Sequence[Sequence[int]]) -> Mat:
-    return mat([[Fraction(x) for x in r] for r in rows])
-
-
-def to_int_rows(a: Mat) -> list[list[int]]:
-    """Exact conversion; raises if any entry is non-integral."""
-    out = []
-    for r in a.data:
-        row = []
-        for x in r:
-            if x.denominator != 1:
-                raise ValueError("non-integer entry %s" % x)
-            row.append(int(x))
-        out.append(row)
-    return out
-

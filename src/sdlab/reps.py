@@ -1,17 +1,18 @@
-"""Explicit quiver representations over exact rationals: the exact oracle.
+"""Explicit quiver representations with integer matrices: the exact oracle.
 
 Hom spaces are computed by solving the commuting-square linear system, the
 AR translate by sink/source reflection-functor sweeps, and the catalog's
 modules by knitting the tau-inverse orbits of the projectives.  The runtime
 catalog (`catalog.py`) works with dimension vectors only and never calls
 this module; the tests and two `verify` checks use it as an oracle.
-Everything here is exact; no floats.
+Every map is an integer matrix (`exactmat`), and every rank and kernel
+comes from one fraction-free elimination, so everything here is exact with
+no Fraction and no float.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import exactmat as xm
 from .catalog import IndecCatalog, catalog_for
@@ -73,9 +74,9 @@ def projective_rep(q: Quiver, i: int) -> Representation:
     for idx, (s, t) in enumerate(q.arrows):
         src, tgt = bases[s], bases[t]
         pos = {p: r for r, p in enumerate(tgt)}
-        m = [[xm.Q0] * len(src) for _ in range(len(tgt))]
+        m = [[0] * len(src) for _ in range(len(tgt))]
         for c, p in enumerate(src):
-            m[pos[p + (idx,)]][c] = xm.Q1
+            m[pos[p + (idx,)]][c] = 1
         maps.append(xm.Mat(len(tgt), len(src), m))
     return Representation(q, dims, tuple(maps))
 
@@ -89,11 +90,11 @@ def injective_rep(q: Quiver, i: int) -> Representation:
     for idx, (s, t) in enumerate(q.arrows):
         src, tgt = bases[s], bases[t]
         pos = {p: c for c, p in enumerate(src)}
-        m = [[xm.Q0] * len(src) for _ in range(len(tgt))]
+        m = [[0] * len(src) for _ in range(len(tgt))]
         for r, p in enumerate(tgt):
             c = pos.get(p + (idx,))
             if c is not None:
-                m[r][c] = xm.Q1
+                m[r][c] = 1
         maps.append(xm.Mat(len(tgt), len(src), m))
     return Representation(q, dims, tuple(maps))
 
@@ -116,14 +117,14 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     for v in range(q.n):
         offsets.append(total)
         total += dn[v] * dm[v]
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for idx, (s, t) in enumerate(q.arrows):
         s -= 1
         t -= 1
         na, ma = n.arrow_maps[idx], m.arrow_maps[idx]
         for r in range(dn[t]):
             for c in range(dm[s]):
-                row = [xm.Q0] * total
+                row = [0] * total
                 # N_a phi_s : coefficient of phi_s[k, c] is N_a[r, k]
                 for k in range(dn[s]):
                     row[offsets[s] + k * dm[s] + c] += na.data[r][k]
@@ -305,7 +306,7 @@ def exists_mono(n: Representation, m: Representation) -> bool:
 
 # ------------------------------------------------------- knitted catalog reps
 
-_KNITTED: dict[str, list[Representation | None]] = {}
+_KNITTED: dict[Quiver, list[Representation | None]] = {}
 
 
 def catalog_reps(cat: IndecCatalog) -> list[Representation | None]:
@@ -318,8 +319,7 @@ def catalog_reps(cat: IndecCatalog) -> list[Representation | None]:
     quiver: every catalog of a quiver shares its non-virtual ids.
     """
     q = cat.quiver
-    text = q.text()
-    if text not in _KNITTED:
+    if q not in _KNITTED:
         reps: list[Representation | None] = [None] * cat.size()
         for i, ident in enumerate(cat.proj_ids, start=1):
             cur = reps[ident] = projective_rep(q, i)
@@ -332,8 +332,8 @@ def catalog_reps(cat: IndecCatalog) -> list[Representation | None]:
         for j, ident in enumerate(cat.inj_ids, start=1):
             if reps[ident] is None:
                 reps[ident] = injective_rep(q, j)
-        _KNITTED[text] = reps
-    return _KNITTED[text]
+        _KNITTED[q] = reps
+    return _KNITTED[q]
 
 
 def indecomposable_from_root(q: Quiver, d) -> Representation:

@@ -404,9 +404,11 @@ def extract_exceptional_collection(sigma: StabilityCondition):
 
 def restrict_to_subquiver(sigma: StabilityCondition, subset) -> StabilityCondition:
     """Restriction to the full subquiver on `subset`: keep those charges and
-    rebuild on its standard heart.  Needs ambient global dimension at most 1
-    and a connected subset; a rotated condition whose restricted charges
-    leave the closed upper half plane raises NotAStabilityFunction."""
+    the records whose dimension vector is supported on the subset, with
+    their shifts, phases and charges, renumbered into the subquiver's
+    catalog.  mod kQ' is a Serre subcategory of mod kQ, so semistability
+    is decided inside it and the rotation action commutes with restriction.
+    Needs ambient global dimension at most 1 and a connected subset."""
     q = sigma.quiver
     vs = sorted({int(v) for v in subset})
     if not vs or vs[0] < 1 or vs[-1] > q.n:
@@ -423,5 +425,11 @@ def restrict_to_subquiver(sigma: StabilityCondition, subset) -> StabilityConditi
     sub_q = Quiver(len(vs), arrows)
     if not sub_q.is_connected():
         raise NotConnectedSubset("induced subquiver on %s is disconnected" % (vs,))
-    z = tuple(sigma.z_simples[v - 1] for v in vs)
-    return make_stability(sub_q, z)
+    by_dim = catalog_for(sub_q).by_dim
+    dims = [e.dim_vector for e in catalog_for(q).entries]
+    records = [
+        r._replace(ident=by_dim[tuple(dims[r.ident][v - 1] for v in vs)])
+        for r in sigma.records
+        if sum(dims[r.ident][v - 1] for v in vs) == sum(dims[r.ident])
+    ]
+    return _assemble(sub_q, [sigma.z_simples[v - 1] for v in vs], records)

@@ -1,0 +1,48 @@
+"""tools/cli_diff.py: the cli-cold argv it reads, and what it reports."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "cli_diff.py"
+ARGVS = [["quiver", "--quiver", "A2"], ["quiver", "--quiver", "bogus"]]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_cli_cold_argv_have_their_sample_seed():
+    argvs = _tool().cli_cold_argvs(ROOT)
+    assert len(argvs) == 13
+    assert ["stab", "sample", "--quiver", "D8", "--seed", "1"] in argvs
+    assert not any("{" in a for argv in argvs for a in argv)
+
+
+def test_a_tree_against_itself_reports_nothing():
+    summary = _tool().compare(ROOT, ROOT, ARGVS[:1])
+    assert summary["argv_count"] == 1 and summary["differences"] == []
+
+
+def test_one_changed_output_is_caught(tmp_path, capsys):
+    tool = _tool()
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "sdlab" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert '"kind": "quiver",' in text
+    cli.write_text(text.replace('"kind": "quiver",', '"kind": "quiver-changed",'), encoding="utf-8")
+    # the argv file's lists run after the cli-cold ops, left out here
+    argv_file = tmp_path / "argv.json"
+    argv_file.write_text(json.dumps(ARGVS), encoding="utf-8")
+    tool.cli_cold_argvs = lambda root: []
+    assert tool.main([str(ROOT), str(tmp_path), str(argv_file)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["argv_count"] == 2
+    assert [d["argv"] for d in summary["differences"]] == [ARGVS[0]]
+    assert summary["differences"][0]["fields"] == ["stdout"]
+    assert "quiver-changed" in summary["differences"][0]["b"]["stdout"]

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import pytest
@@ -29,7 +30,7 @@ from sdlab import (
 )
 from sdlab.catalog import catalog_for
 from sdlab.derived import standard_generator
-from sdlab.quivers import classify_dynkin
+from sdlab.quivers import Quiver, classify_dynkin
 from sdlab.reps import catalog_reps, exists_mono
 from sdlab.stability import PHASE_TOL
 
@@ -384,35 +385,37 @@ def test_restriction_of_gepner_point():
     assert full.z_simples == sigma.z_simples
 
 
+def _connected_proper_subsets(q):
+    for size in range(1, q.n):
+        for vs in itertools.combinations(range(1, q.n + 1), size):
+            inside = {v: i for i, v in enumerate(vs, start=1)}
+            arrows = tuple((inside[s], inside[t]) for s, t in q.arrows if s in inside and t in inside)
+            if Quiver(size, arrows).is_connected():
+                yield vs
+
+
 @pytest.mark.parametrize("text", ["A5", "D5", "D6", "E6"])
 def test_restriction_of_rotated_gepner_points(text):
-    # a rotation by 0 < mu < the least simple phase keeps every simple
-    # charge in the heart window, so each restriction is defined
+    # mod kQ' is a Serre subcategory of mod kQ, so restriction commutes with
+    # the rotation: restricting act(G, mu) is act(G restricted, mu), also
+    # where mu moves a restricted simple charge out of the upper half plane
     q = parse_quiver(text)
     gepner = gepner_construct(q)
-    least = min(cmath.phase(z) for z in gepner.z_simples) / math.pi
-    degree = [0] * (q.n + 1)
-    for u, v in q.undirected_edges():
-        degree[u] += 1
-        degree[v] += 1
-    # dropping a leaf of the tree leaves a connected subquiver
-    subsets = [[v for v in range(1, q.n + 1) if v != leaf]
-               for leaf in range(1, q.n + 1) if degree[leaf] == 1]
+    rotations = [act(gepner, mu / 10) for mu in range(-9, 10, 2)]
     hom = {}
-    for mu in (least / 4, least / 2, 3 * least / 4):
-        sigma = act(gepner, mu)
-        g = gldim(sigma)
-        assert g < 1.0
-        for subset in subsets:
+    for subset in _connected_proper_subsets(q):
+        base = restrict_to_subquiver(gepner, subset)
+        assert base == make_stability(base.quiver, [gepner.z_simples[v - 1] for v in subset])
+        if base.quiver not in hom:
+            reps = catalog_reps(catalog_for(base.quiver))
+            hom[base.quiver] = [[sdlab.reps.hom_dim(a, b) for b in reps] for a in reps]
+        table = hom[base.quiver]
+        assert {r.ident for r in base.records} == _semistable_by_hom_criterion(
+            base.quiver, base.z_simples, lambda a, b: table[a][b])
+        for mu, sigma in zip(range(-9, 10, 2), rotations):
             sub = restrict_to_subquiver(sigma, subset)
-            key = sub.quiver.text()
-            if key not in hom:
-                reps = catalog_reps(catalog_for(sub.quiver))
-                hom[key] = [[sdlab.reps.hom_dim(a, b) for b in reps] for a in reps]
-            oracle = _semistable_by_hom_criterion(sub.quiver, sub.z_simples,
-                                                  lambda a, b: hom[key][a][b])
-            assert {r.ident for r in sub.records} == oracle
-            assert gldim(sub) <= g + 1e-12
+            assert sub == act(base, mu / 10)
+            assert gldim(sub) <= gldim(sigma) + 1e-12
 
 
 def test_gepner_point_of_d20():
