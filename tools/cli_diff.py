@@ -33,12 +33,17 @@ def cli_cold_argvs(root: Path) -> list:
 
 
 def run_cli(root: Path, argv: list) -> dict:
-    """One `sdlab` subprocess from the checkout at `root`: exit, stdout, stderr."""
+    """One `sdlab` subprocess from the checkout at `root`: exit code and the
+    bytes of stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
     with tempfile.TemporaryDirectory() as cwd:
         r = subprocess.run([sys.executable, "-m", "sdlab.cli", *argv],
-                           cwd=cwd, env=env, capture_output=True, text=True)
+                           cwd=cwd, env=env, capture_output=True)
     return {"exit": r.returncode, "stdout": r.stdout, "stderr": r.stderr}
+
+
+def _shown(value):
+    return value.decode("utf-8", "replace") if isinstance(value, bytes) else value
 
 
 def compare(a: Path, b: Path, argvs: list) -> dict:
@@ -49,7 +54,7 @@ def compare(a: Path, b: Path, argvs: list) -> dict:
         fields = [k for k in ("exit", "stdout", "stderr") if got["a"][k] != got["b"][k]]
         if fields:
             differences.append({"argv": argv, "fields": fields,
-                                **{side: {k: got[side][k] for k in fields} for side in got}})
+                                **{side: {k: _shown(got[side][k]) for k in fields} for side in got}})
     return {"a": str(a), "b": str(b), "argv_count": len(argvs), "differences": differences}
 
 
