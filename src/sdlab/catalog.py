@@ -11,7 +11,10 @@ matrix power (`serre_power`): there an orbit crosses from the projectives to
 the injectives at most once.  Hom and Ext come from one integer table of
 the Euler form, chi = D E D^T over the dimension vectors D, so nothing here
 calls into the exact representations of `reps`.  `catalog_for` keys its
-catalogs by the quiver value.  The Dynkin knitting is the package's one
+catalogs by the quiver value, and keeps them for the life of the process;
+with a Dynkin catalog goes the projective generator's Serre period
+(`generator_periods`, at most h levels per sign), which `derived` walks
+on first use and every later series, orbit and power of G reads.  The Dynkin knitting is the package's one
 source of positive roots (`positive_roots` reads it), certified by the Tits
 form and the count nh/2; the reflection closure is only a test oracle.
 """
@@ -93,6 +96,10 @@ class IndecCatalog:
         self.inj_ids: list[int] = []
         self._steps: dict[tuple[int, int], tuple[int, int]] = {}
         self._chi_rows: list[tuple[int, ...]] | None = None
+        # sign -> (the summands of S^(sign j) G for j < p, k) up to G's first
+        # return S^(sign p) G = G[k]; `derived.serre_orbit` walks it on first
+        # use, on a Dynkin catalog only, so it holds at most h levels per sign
+        self.generator_periods: dict[int, tuple[list, int]] = {}
         for dim, proj_vertex, inj_vertex in records or self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
         self._link()

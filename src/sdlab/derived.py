@@ -4,12 +4,16 @@ Over a hereditary algebra every object splits into shifts of modules, so a
 finite multiset of (catalog id, shift) pairs is a faithful model.  The Serre
 functor acts summand by summand through the catalog's step maps, up to the
 first return S^p X = X[k], and `serre_orbit` reads the orbit as one `Period`
-view of the levels up to it.  Off Dynkin, on a connected quiver, an orbit
-crosses from the projectives to the injectives at most once, so `serre_apply`
-maps each summand through one matrix power A^p instead, and each orbit level
-is one such power; disconnected quivers keep the steps, as their Dynkin
-components cross many times (and A2 + A2 has a period).  Hom Poincare
-data comes from the catalog's pairwise Euler form with degree bookkeeping.
+view of the levels up to it.  On a Dynkin quiver the projective generator
+G's walk is taken once per sign and stored in the catalog
+(`IndecCatalog.generator_periods`, at most h levels each) for the life of
+the process, and every orbit, power and entropy series of G reads it.  Off
+Dynkin, on a connected quiver, an orbit crosses from the projectives to the
+injectives at most once, so `serre_apply` maps each summand through one
+matrix power A^p instead, and each orbit level is one such power;
+disconnected quivers keep the steps, as their Dynkin components cross many
+times (and A2 + A2 has a period).  Hom Poincare data comes from the
+catalog's pairwise Euler form with degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -123,22 +127,49 @@ def serre_apply(x: DerivedObject, power: int = 1) -> DerivedObject:
     return DerivedObject(x.quiver, serre_orbit(x, power)[-1])
 
 
+def _walk_period(x: DerivedObject, n: int):
+    """(levels 0..p-1, k) of `serre_walk` at its first return p <= |n|, or
+    (levels 0..|n|, None) when it does not return by then."""
+    levels = []
+    for pairs, k in serre_walk(x, n):
+        if k is not None:
+            return levels, k
+        levels.append(pairs)
+    return levels, None
+
+
+def _generator_period(cat: IndecCatalog, g: DerivedObject, sign: int):
+    """G's walk by S^sign up to its first return, from the catalog's
+    `generator_periods`, walked there on first use: on a Dynkin quiver
+    S^h G = G[h - 2], so it returns by h."""
+    stored = cat.generator_periods.get(sign)
+    if stored is None:
+        levels, k = _walk_period(g, sign * cat.dynkin.coxeter_number)
+        if k is None:
+            raise AssertionError("S^h G is not a shift of G")
+        stored = cat.generator_periods[sign] = levels, k
+    return stored
+
+
 def serre_orbit(x: DerivedObject, n: int) -> Period:
     """The summands of S^j X for j = 0..|n|, by S^-1 when n < 0, as a
     `Period` view whose item j is serre_apply(x, +-j).summands.  Off Dynkin,
     on a connected quiver, each read is that one matrix power, so no step is
     memoized; otherwise `serre_walk` runs to its first return p, and item j
-    is level j % p shifted by (j // p) k."""
-    if catalog_for(x.quiver).single_crossing:
+    is level j % p shifted by (j // p) k.  On a Dynkin quiver G's walk is
+    read from the catalog, which keeps it for the life of the process; when
+    |n| < p the view holds its first |n| + 1 levels, as a walk to |n| would."""
+    cat = catalog_for(x.quiver)
+    if cat.single_crossing:
         return Period([x.summands], 1 if n >= 0 else -1, abs(n) + 1,
                       lambda pairs, j: serre_apply(DerivedObject(x.quiver, pairs), j).summands)
-    levels, k = [], 0
-    for pairs, ret in serre_walk(x, n):
-        if ret is not None:
-            k = ret
-            break
-        levels.append(pairs)
-    return Period(levels, k, abs(n) + 1, lambda pairs, j: tuple((i, s + j) for i, s in pairs))
+    if cat.is_complete and x.summands == standard_generator(x.quiver).summands:
+        levels, k = _generator_period(cat, x, 1 if n >= 0 else -1)
+        if abs(n) < len(levels):
+            levels, k = levels[:abs(n) + 1], None
+    else:
+        levels, k = _walk_period(x, n)
+    return Period(levels, k or 0, abs(n) + 1, lambda pairs, j: tuple((i, s + j) for i, s in pairs))
 
 
 def hom_poincare(x: DerivedObject, y: DerivedObject) -> dict[int, int]:

@@ -3,22 +3,27 @@
 The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
 generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
 level n is the total dimension of each summand N[b] of S^n G, added at
-m = -b; no pairwise Euler form is read.  On Dynkin and disconnected
-quivers the levels are read off G's Serre walk, bounded by n_max.  When it
-returns, S^p G = G[k] (on every Dynkin quiver, with p dividing h, and on
-A2 + A2), the walk stops and a series keeps levels 0..p-1 and k only,
-reading level n as level n mod p with every m moved by -(n // p) k.  Off
-Dynkin, on a connected quiver, S P_i = I_i and then S = tau[1] along the
-preinjectives, so S^n G for n >= 1 sits in the one shift n - 1 and level n
-is the single integer |sum A^n [G]| at m = 1 - n, stepped by the
-Cayley-Hamilton recurrence of the Coxeter polynomial.
+m = -b; no pairwise Euler form is read.  On a Dynkin quiver G's Serre walk
+returns, S^p G = G[k] with p dividing h, and the levels are read off that
+one period, which the catalog keeps for the life of the process
+(`derived.serre_orbit`): only the first series of a quiver steps, and
+`entropy_series.cache_clear()` does not free it.  A series keeps levels
+0..p-1 and k only (levels 0..n_max when n_max < p), reading level n as
+level n mod p with every m moved by -(n // p) k.  A disconnected quiver's
+levels are read off the walk one at a time, bounded by n_max, and kept the
+same way if it returns (A2 + A2).  Off Dynkin, on a connected quiver,
+S P_i = I_i and then S = tau[1] along the preinjectives, so S^n G for
+n >= 1 sits in the one shift n - 1 and level n is the single integer
+|sum A^n [G]| at m = 1 - n, stepped by the Cayley-Hamilton recurrence of
+the Coxeter polynomial.
 
 Entropy at parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t).
 Off Dynkin, on a connected quiver, f_n(t) = |sum A^n [G]| exp((n - 1) t),
 so h_t = t + log rho(Phi) exactly and both Serre dimensions are 1; the
 estimators read no series there, so no budget binds them.  Elsewhere
 `growth_rate` fits a + b/n over a deterministic subsequence and reports the
-extrapolated intercept.
+extrapolated intercept: np.polyfit's arithmetic, on a scaled design built
+once per sample range.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import catalog_for
-from .derived import Period, serre_walk, standard_generator
+from .derived import Period, serre_orbit, serre_walk, standard_generator
 from .errors import BudgetExceeded, ConfigError, EmptyGrid
 from .quivers import (
     Quiver,
@@ -106,8 +111,11 @@ def _kclass_levels(cat, n_max: int):
 
 
 def _walked_levels(cat, n_max: int):
-    """(level, None) for each level of G's Serre walk (`serre_walk`) up to
-    n_max, then (None, k) at its first return S^p G = G[k]."""
+    """(level, None) for each level of G's Serre orbit up to n_max, then
+    (None, k) at its first return S^p G = G[k].  On a Dynkin quiver the
+    levels are the catalog's stored period (`serre_orbit`), so only the
+    first series of a quiver steps; a disconnected quiver's are read off
+    `serre_walk` one level at a time, so that the budget stops the walk."""
     g = standard_generator(cat.quiver)
     # log_f sums a level in dict order, so keys enter in the order that
     # hom_poincare(G, S^n G) gives them: each summand N counts from the first
@@ -119,14 +127,19 @@ def _walked_levels(cat, n_max: int):
         dim = cat.entries[pair[0]].dim_vector
         return next(j for j, v in enumerate(tops) if dim[v])
 
-    for pairs, k in serre_walk(g, n_max):
-        if k is not None:
-            yield None, k
-            return
+    def level(pairs) -> dict[int, int]:
         lev: dict[int, int] = {}
         for ident, b in sorted(pairs, key=first_hom):
             lev[-b] = lev.get(-b, 0) + sum(cat.entries[ident].dim_vector)
-        yield lev, None
+        return lev
+
+    if cat.is_complete:
+        orbit = serre_orbit(g, n_max)
+        yield from ((level(pairs), None) for pairs in orbit.period)
+        yield None, orbit.k
+        return
+    for pairs, k in serre_walk(g, n_max):
+        yield (level(pairs), None) if k is None else (None, k)
 
 
 def _check_sizes(n_max: int, budget: int) -> None:
@@ -168,8 +181,9 @@ def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> Entro
     moved by -(n // p) k.  Off Dynkin on a connected quiver the levels are
     one integer recurrence (`_kclass_levels`).  On a Dynkin quiver orbits
     cross from the projectives to the injectives again and again, so the
-    levels are read off `serre_walk`; so are a disconnected quiver's, as a
-    component may be Dynkin (and A2 + A2 has a period)."""
+    levels are read off G's period, which the catalog stores once per
+    quiver; a disconnected quiver's are read off `serre_walk` level by
+    level, as a component may be Dynkin (and A2 + A2 has a period)."""
     return _series(q, n_max, budget)
 
 
@@ -187,7 +201,8 @@ def growth_rate(q: Quiver, n_max: int, log_f) -> float:
     the least-squares fit y = a + b/n.  On Dynkin quivers it is sampled at
     the multiples of the Coxeter number when n_max holds two, where the
     sequence is affine in 1/n and the fit is exact; otherwise over the tail
-    window."""
+    window.  The fit is np.polyfit(1/n, y, 1)'s arithmetic on the design
+    that `_fit_design` keeps per sample range."""
     dyn = classify_dynkin(q)
     ns = tail_window(n_max)
     if dyn is not None and n_max >= 2 * dyn.coxeter_number:
@@ -197,8 +212,23 @@ def growth_rate(q: Quiver, n_max: int, log_f) -> float:
         return ys[0]
     import numpy as np
 
-    b, a = np.polyfit(np.array([1.0 / n for n in ns]), np.array(ys), 1)
-    return float(a)
+    lhs, scale, rcond = _fit_design(ns)
+    return float(np.linalg.lstsq(lhs, np.array(ys) + 0.0, rcond)[0][1] / scale[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _fit_design(ns: range):
+    """np.polyfit's degree-1 design for x = 1/n over the samples ns: the
+    Vandermonde columns [x, 1] scaled to unit norm, the scales and rcond,
+    so that lstsq on it and the division by the scales repeat polyfit bit
+    for bit.  Sample ranges are few: tail windows and multiples of h."""
+    import numpy as np
+
+    x = np.array([1.0 / n for n in ns])
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    return lhs, scale, len(x) * np.finfo(x.dtype).eps
 
 
 def entropy_estimate(
@@ -210,6 +240,9 @@ def entropy_estimate(
     per t and series.  A disconnected quiver raises DisconnectedQuiver
     before any series is read."""
     _check_sizes(n_max, budget)
+    if not math.isfinite(t):
+        # a nan would also never hit the estimate memo
+        raise ConfigError("t must be finite, got %r" % t)
     if classify_dynkin(q) is None:
         return t + log_spectral_radius(q)
     series = entropy_series(q, n_max, budget)

@@ -178,6 +178,9 @@ def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowt
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ConfigError("mass growth needs a nonempty t grid")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ConfigError("t must be finite, got %r" % t)
     q = sigma.quiver
     by_ident = {r.ident: r for r in sigma.records}
     level_data = []  # per n: list of (|z|, object phase)

@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdlab.catalog
+import sdlab.derived
 import sdlab.entropy
+import sdlab.stability
 from sdlab import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -273,19 +277,29 @@ def test_changing_a_returned_level_changes_no_series():
 
 
 def test_dynkin_series_stop_stepping_at_the_first_return(monkeypatch):
-    # past S^p G = G[k] every level is read off the period: each series
-    # takes p levels of |G| steps, where stepping to n_max would take 240 x 8
+    # G's walk to S^p G = G[k] is kept by the catalog: the first series of
+    # E8 takes p levels of |G| steps, every later one none, whatever n_max,
+    # and the catalog neither grows nor keeps a second period
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    entropy_series.cache_clear()
     q = parse_quiver("E8")
     cat, g = catalog_for(q), standard_generator(q)
+    size = cat.size()
     p = first_return(stepped_levels(g, 30))
     calls = []
     real = cat.serre_step
     monkeypatch.setattr(cat, "serre_step", lambda ident: calls.append(ident) or real(ident))
-    entropy_series.cache_clear()
-    for n_max in (30, 60, 120, 240):
+    counts = []
+    for n_max in (30, 60, 120, 240, 10**5):
         calls.clear()
         assert len(entropy_series(q, n_max).levels) == n_max + 1
-        assert len(calls) <= p * g.total_summands() == 120
+        counts.append(len(calls))
+    assert counts == [p * g.total_summands(), 0, 0, 0, 0] and counts[0] == 120
+    assert cat.size() == size
+    assert list(cat.generator_periods) == [1] and len(cat.generator_periods[1][0]) == p
+    serre_apply(g, -10**5)
+    assert sorted(cat.generator_periods) == [-1, 1]
+    assert all(len(levels) <= 30 for levels, _ in cat.generator_periods.values())
 
 
 def orbit_entry(x, j, inverse=False):
@@ -727,3 +741,142 @@ def test_profile_grid_guards():
         entropy_profile(A2, ())
     with pytest.raises(ConfigError):
         entropy_profile(A2, (0.0, 1.0))
+
+
+# ---------------------------------------------- the stored period and the fit
+
+PERIOD_QUIVERS = {
+    "A4": "A4", "D6": "D6", "E6": "E6", "E7": "E7", "E8": "E8",
+    "E6-nonbipartite": "vertices:6; arrows:1->2,2->3,3->4,4->5,6->3",
+}
+
+
+@pytest.mark.parametrize("text", list(PERIOD_QUIVERS.values()), ids=list(PERIOD_QUIVERS))
+def test_stored_period_readers_match_a_fresh_walk(monkeypatch, text):
+    # the catalog stores G's period at the first (largest) read; every
+    # shorter read after it, a prefix below p included, must equal stepping
+    # every summand afresh, and so must the orbit that mass_growth reads
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    entropy_series.cache_clear()
+    q = parse_quiver(text)
+    g = standard_generator(q)
+    h = classify_dynkin(q).coxeter_number
+    top = 2 * h + 1
+    forward, backward = stepped_levels(g, top), stepped_levels(g, top, inverse=True)
+    walk = [pairs for pairs, k in sdlab.derived.serre_walk(g, top) if k is None]
+    assert walk == forward[:len(walk)] and len(walk) <= h
+    series_levels = stepped_series_levels(q, top)
+    seen = []
+    real_orbit = sdlab.stability.serre_orbit
+    monkeypatch.setattr(sdlab.stability, "serre_orbit",
+                        lambda x, n: seen.append(list(real_orbit(x, n))) or real_orbit(x, n))
+    sigma = sdlab.make_stability(q, [1j] * q.n)  # every indecomposable semistable
+    for n in (top, *range(1, top + 1)):
+        series = entropy_series(q, n)
+        assert [dict(lev) for lev in series.levels] == series_levels[:n + 1]
+        assert [list(lev.items()) for lev in series.levels] == [
+            list(lev.items()) for lev in series_levels[:n + 1]]
+        assert series.m_minus == tuple(-min(lev) for lev in series_levels[:n + 1])
+        assert series.m_plus == tuple(-max(lev) for lev in series_levels[:n + 1])
+        assert serre_apply(g, n).summands == forward[n]
+        assert serre_apply(g, -n).summands == backward[n]
+        seen.clear()
+        mass_growth(sigma, (0.5,), n)
+        assert seen == [forward[:n + 1]]
+    cat = catalog_for(q)
+    assert sorted(cat.generator_periods) == [-1, 1]
+    assert all(len(levels) == len(walk) for levels, _ in cat.generator_periods.values())
+
+
+def _sampled(q, n_max, t):
+    """growth_rate's estimate for entropy_series(q, n_max) at t, with the
+    n it sampled and the ys it fitted."""
+    series = entropy_series(q, n_max)
+    ns = []
+
+    def log_f(n):
+        ns.append(n)
+        return series.log_f(n, t)
+
+    fit = growth_rate(q, n_max, log_f)
+    return fit, ns, [series.log_f(n, t) / n for n in ns]
+
+
+def _polyfit_intercept(ns, ys):
+    import numpy as np
+
+    return ys[0] if len(ns) == 1 else float(np.polyfit(
+        np.array([1.0 / n for n in ns]), np.array(ys), 1)[1])
+
+
+@pytest.mark.parametrize("text", ESTIMATOR_QUIVERS)
+def test_fit_is_polyfit_bit_for_bit(text):
+    q = parse_quiver(text)
+    dyn = classify_dynkin(q)
+    h = dyn.coxeter_number if dyn else 6
+    for n_max in (*range(1, 2 * h + 2), 30, 60, 120, 240):
+        for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            fit, ns, ys = _sampled(q, n_max, t)
+            assert fit == _polyfit_intercept(ns, ys)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(text=st.sampled_from(("K2", "A4", "E8")), n_max=st.integers(1, 500),
+       values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_fit_is_polyfit_bit_for_bit_on_drawn_values(text, n_max, values):
+    q = parse_quiver(text)
+    ns = []
+
+    def log_f(n):
+        ns.append(n)
+        return values[n % len(values)]
+
+    fit = growth_rate(q, n_max, log_f)
+    assert fit == _polyfit_intercept(ns, [values[n % len(values)] / n for n in ns])
+
+
+@pytest.mark.parametrize("text", ("A4", "E8"))
+def test_small_budgets_fail_at_the_same_level_with_or_without_a_stored_period(
+        monkeypatch, text):
+    # the budget sees levels 0..min(n_max, p - 1), from a cold catalog or
+    # from one that already holds the period
+    q = parse_quiver(text)
+    p = first_return(stepped_levels(standard_generator(q), 30))
+    totals = [sum(lev.values()) for lev in stepped_series_levels(q, p - 1)]
+    budget = totals[0]  # the first level above G's own total fails
+    n = next(j for j, total in enumerate(totals) if total > budget)
+    assert 1 < n < p - 1
+    message = "hom dimensions reached %d at n=%d (budget %d)" % (totals[n], n, budget)
+    for warm in (False, True):
+        if not warm:
+            monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+        entropy_series.cache_clear()
+        assert len(entropy_series(q, n - 1, budget).levels) == n
+        for n_max in (n, p - 1, p, 240):
+            with pytest.raises(BudgetExceeded) as err:
+                entropy_series(q, n_max, budget)
+            assert str(err.value) == message
+    assert len(entropy_series(q, 240, max(totals)).levels) == 241
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("text", ("K2", "K3", "E8"))
+def test_non_finite_t_is_rejected_on_every_quiver(text):
+    q = parse_quiver(text)
+    for t in NON_FINITE:
+        with pytest.raises(ConfigError, match="^t must be finite, got %r$" % t):
+            entropy_estimate(q, t)
+        with pytest.raises(ConfigError, match="^t must be finite"):
+            entropy_profile(q, (0.0, 1.0, t))
+    with pytest.raises(ConfigError, match="^t must be finite, got inf$"):
+        volume(q, math.inf)
+    with pytest.raises(ConfigError, match="^t must be finite, got nan$"):
+        volume(q, math.nan)
+    if classify_dynkin(q) is not None:
+        assert math.nan not in vars(entropy_series(q, 30)).get("estimates", {})
+        sigma = gepner_construct(q)
+        for t in NON_FINITE:
+            with pytest.raises(ConfigError, match="^t must be finite, got %r$" % t):
+                mass_growth(sigma, (0.0, t), 30)

@@ -32,6 +32,8 @@ from sdlab.reps import (
     zero_rep,
 )
 
+from exact_tables import exact_hom_ext
+
 A2 = parse_quiver("A2")
 A3 = parse_quiver("A3")
 D4 = parse_quiver("D4")
@@ -163,12 +165,11 @@ def test_catalog_lookup_formats_no_text(monkeypatch):
 
 def _assert_hom_table_matches_exact(q):
     cat = catalog_for(q)
-    reps = catalog_reps(cat)
+    hom, ext = exact_hom_ext(q)
     for a in range(cat.size()):
         for b in range(cat.size()):
-            ra, rb = reps[a], reps[b]
-            assert cat.hom_dim(a, b) == hom_dim(ra, rb)
-            assert cat.ext_dim(a, b) == ext1_dim(ra, rb)
+            assert cat.hom_dim(a, b) == hom[a][b]
+            assert cat.ext_dim(a, b) == ext[a][b]
         assert cat.hom_dim(a, a) == 1
         assert cat.ext_dim(a, a) == 0
 

@@ -34,6 +34,7 @@ from sdlab.quivers import Quiver, classify_dynkin
 from sdlab.reps import catalog_reps, exists_mono
 from sdlab.stability import PHASE_TOL
 
+from exact_tables import exact_hom_ext
 from orientations import every_orientation
 
 A2 = parse_quiver("A2")
@@ -342,12 +343,10 @@ def _gldim_from_tables(sigma, hom, ext):
     return best
 
 
-@pytest.mark.parametrize("text", ["A4", "D5", "E6"])
+@pytest.mark.parametrize("text", ["A4", "D5", "E6", "E7"])
 def test_gldim_and_exceptional_collections_match_exact_hom_ext(text):
     q = parse_quiver(text)
-    reps = catalog_reps(catalog_for(q))
-    hom = [[sdlab.reps.hom_dim(a, b) for b in reps] for a in reps]
-    ext = [[sdlab.reps.ext1_dim(a, b) for b in reps] for a in reps]
+    hom, ext = exact_hom_ext(q)
     gepner = gepner_construct(q)
     # samples rarely reach gldim < 1; rotations of the Gepner point keep it
     # there and give collections with shifted members and Ext^1 between them
