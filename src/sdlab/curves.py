@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import ConfigError, EmptyGrid, GenusTooSmall, ZeroClass
+from .errors import ConfigError, EmptyGrid, GenusTooSmall, ZeroClass, require_finite
 
 
 class NumericalClass(namedtuple("NumericalClass", "r d")):
@@ -32,9 +32,8 @@ class CurveStability(namedtuple("CurveStability", "genus beta H")):
     def __new__(cls, genus: int, beta: float, H: float):
         if genus < 0:
             raise GenusTooSmall("genus must be a nonnegative integer")
-        if not (math.isfinite(beta) and math.isfinite(H)):
-            raise ConfigError("beta and H must be finite")
-        if H <= 0:
+        require_finite("beta", beta)
+        if require_finite("H", H) <= 0:
             raise ConfigError("H must be positive")
         return super().__new__(cls, genus, beta, H)
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .catalog import catalog_for
 from .derived import Period, serre_orbit, serre_walk, standard_generator
-from .errors import BudgetExceeded, ConfigError, EmptyGrid
+from .errors import BudgetExceeded, ConfigError, EmptyGrid, require_finite
 from .quivers import (
     Quiver,
     classify_dynkin,
@@ -66,22 +66,17 @@ def _moved_level(level: dict, move: int) -> dict:
 
 
 class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_plus")):
-    # no __slots__: each series keeps its caches in its instance dict
+    """G's entropy series (`entropy_series`); no __slots__: its dict holds the estimate memo."""
     quiver: Quiver
     n_max: int
     levels: Period  # levels[n] is a dict m -> dim Hom(G, S^n G[m])
     m_minus: Period  # -min support per n
     m_plus: Period  # -max support per n
 
-    @functools.cached_property
-    def logs(self) -> dict:
-        """log dim for each dimension in the levels, computed once."""
-        return {d: math.log(d) for lev in self.levels.period for d in lev.values()}
-
     def log_f(self, n: int, t: float) -> float:
-        """log f_n(t) via a log-sum-exp over `logs`, safe for large |m t|."""
+        """log f_n(t) via a log-sum-exp, safe for large |m t|."""
         lev, move = self.levels.locate(n)
-        return log_sum_exp(self.logs[d] - (m - move) * t for m, d in lev.items())
+        return log_sum_exp(math.log(d) - (m - move) * t for m, d in lev.items())
 
 
 def _kclass_levels(cat, n_max: int):
@@ -112,24 +107,18 @@ def _kclass_levels(cat, n_max: int):
 
 def _walked_levels(cat, n_max: int):
     """(level, None) for each level of G's Serre orbit up to n_max, then
-    (None, k) at its first return S^p G = G[k].  On a Dynkin quiver the
-    levels are the catalog's stored period (`serre_orbit`), so only the
-    first series of a quiver steps; a disconnected quiver's are read off
-    `serre_walk` one level at a time, so that the budget stops the walk."""
+    (None, k) at its first return S^p G = G[k]; a level adds each summand
+    N[b]'s total dimension at m = -b, in walk order.  The order decides no
+    number: a connected quiver's levels have at most two keys, and a two-term
+    log-sum-exp is one float in either order.  On a Dynkin quiver the levels
+    are G's stored period (`serre_orbit`), so only a quiver's first series
+    steps; a disconnected quiver's are read off `serre_walk` one level at a
+    time, so that the budget stops the walk."""
     g = standard_generator(cat.quiver)
-    # log_f sums a level in dict order, so keys enter in the order that
-    # hom_poincare(G, S^n G) gives them: each summand N counts from the first
-    # projective of G that maps to it, and the stable sort keeps the summand
-    # order among ties.
-    tops = [cat.entries[i].proj_vertex - 1 for i, _ in g.summands]
-
-    def first_hom(pair) -> int:
-        dim = cat.entries[pair[0]].dim_vector
-        return next(j for j, v in enumerate(tops) if dim[v])
 
     def level(pairs) -> dict[int, int]:
         lev: dict[int, int] = {}
-        for ident, b in sorted(pairs, key=first_hom):
+        for ident, b in pairs:
             lev[-b] = lev.get(-b, 0) + sum(cat.entries[ident].dim_vector)
         return lev
 
@@ -240,9 +229,7 @@ def entropy_estimate(
     per t and series.  A disconnected quiver raises DisconnectedQuiver
     before any series is read."""
     _check_sizes(n_max, budget)
-    if not math.isfinite(t):
-        # a nan would also never hit the estimate memo
-        raise ConfigError("t must be finite, got %r" % t)
+    require_finite("t", t)  # a nan would also never hit the estimate memo
     if classify_dynkin(q) is None:
         return t + log_spectral_radius(q)
     series = entropy_series(q, n_max, budget)
@@ -292,8 +279,8 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
 
 
 def volume(q: Quiver, lam: float, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> float:
-    """exp of the entropy at t = log(lambda); lambda must be positive."""
-    if lam <= 0:
+    """exp of the entropy at t = log(lambda); lambda must be finite and positive."""
+    if require_finite("lam", lam) <= 0:
         raise ConfigError("volume scale factor must be positive")
     return math.exp(entropy_estimate(q, math.log(lam), n_max, budget))
 

@@ -4,6 +4,8 @@ Every domain error raised by the library derives from SdlabError so callers
 (and the CLI) can map failures to structured reports in one place.
 """
 
+import cmath
+
 
 class SdlabError(Exception):
     """Base class for all sdlab domain errors."""
@@ -99,3 +101,10 @@ class ZeroObject(SdlabError):
 
 class ConfigError(SdlabError):
     """CLI/run configuration is invalid."""
+
+
+def require_finite(name: str, value):
+    """value, or ConfigError naming the input when it (or a part) is infinite or nan."""
+    if not cmath.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (name, value))
+    return value

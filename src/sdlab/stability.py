@@ -13,6 +13,7 @@ lies in a directed component).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 
@@ -30,6 +31,7 @@ from .errors import (
     NotConnectedSubset,
     NotDynkin,
     QuiverMismatch,
+    require_finite,
 )
 from .prng import SplitMix64, fold_seed
 from .quivers import Quiver, classify_dynkin, parse_quiver
@@ -144,21 +146,28 @@ def gldim(sigma: StabilityCondition) -> float:
     return best
 
 
+def _placed(by_ident: dict, ident: int, k: int, level: int | None = None) -> tuple:
+    """(|Z|, phase) of the summand M[k], M = entry `ident`, or NotAllSemistable."""
+    r = by_ident.get(ident)
+    if r is None:
+        where = "" if level is None else " of S^%d G" % level
+        raise NotAllSemistable("summand id %d%s is not semistable" % (ident, where))
+    return abs(r.z), r.phase + (k - r.shift)
+
+
 def mass(sigma: StabilityCondition, t: float, x: DerivedObject) -> float:
     """sum over summands of |Z| * exp(phase * t); every summand must be
     semistable for the mass to be this simple sum.  A term past the float
     range makes the mass math.inf."""
     if x.quiver != sigma.quiver:
         raise QuiverMismatch("object lives on a different quiver")
+    require_finite("t", t)
     by_ident = {r.ident: r for r in sigma.records}
     total = 0.0
     for ident, k in x.summands:
-        r = by_ident.get(ident)
-        if r is None:
-            raise NotAllSemistable("summand id %d is not semistable" % ident)
-        phase_obj = r.phase + (k - r.shift)
+        size, phase_obj = _placed(by_ident, ident, k)
         try:
-            total += abs(r.z) * math.exp(phase_obj * t)
+            total += size * math.exp(phase_obj * t)
         except OverflowError:
             total = math.inf
     return total
@@ -173,40 +182,35 @@ class MassGrowth(namedtuple("MassGrowth", "t_grid rates phase_upper phase_lower"
 
 
 def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowth:
+    """Growth of log mass(S^n G) per t and the windowed phase bounds.  Every
+    level of G's orbit shifts a stored one, so only the stored levels (for
+    semistability), the fit's samples and the tail window are read."""
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ConfigError("mass growth needs a nonempty t grid")
     for t in ts:
-        if not math.isfinite(t):
-            raise ConfigError("t must be finite, got %r" % t)
+        require_finite("t", t)
     q = sigma.quiver
     by_ident = {r.ident: r for r in sigma.records}
-    level_data = []  # per n: list of (|z|, object phase)
-    for n, pairs in enumerate(serre_orbit(standard_generator(q), n_max)):
-        data = []
-        for ident, k in pairs:
-            r = by_ident.get(ident)
-            if r is None:
-                raise NotAllSemistable(
-                    "summand id %d of S^%d G is not semistable" % (ident, n)
-                )
-            data.append((abs(r.z), r.phase + (k - r.shift)))
-        level_data.append(data)
+    orbit = serre_orbit(standard_generator(q), n_max)
+
+    @functools.cache
+    def terms(n: int) -> list:  # (|Z|, phase) per summand of S^n G
+        pairs, move = orbit.locate(n)
+        return [_placed(by_ident, ident, k + move, n) for ident, k in pairs]
+
+    for n in range(len(orbit.period)):  # every later level shifts one of these
+        terms(n)
     rates = [
-        growth_rate(q, n_max, lambda n: log_sum_exp(math.log(a) + p * t for a, p in level_data[n]))
+        growth_rate(q, n_max, lambda n: log_sum_exp(math.log(a) + p * t for a, p in terms(n)))
         for t in ts
     ]
     window = tail_window(n_max)
-    phase_upper = max(max(p for _, p in level_data[n]) / n for n in window)
-    phase_lower = max(min(p for _, p in level_data[n]) / n for n in window)
-    return MassGrowth(
-        t_grid=tuple(ts),
-        rates=tuple(rates),
-        phase_upper=phase_upper,
-        phase_lower=phase_lower,
-    )
+    phase_upper = max(max(p for _, p in terms(n)) / n for n in window)
+    phase_lower = max(min(p for _, p in terms(n)) / n for n in window)
+    return MassGrowth(tuple(ts), tuple(rates), phase_upper, phase_lower)
 
 
 # ------------------------------------------------------------------- actions
@@ -240,7 +244,7 @@ def act(sigma: StabilityCondition, action) -> StabilityCondition:
             ident2, delta = cat.serre_step(r.ident)
             triples.append((ident2, r.shift + delta, r.phase))
     else:
-        mu = complex(action)
+        mu = require_finite("mu", complex(action))
         w = cmath.exp(-1j * math.pi * mu)
         new_z = tuple(z * w for z in sigma.z_simples)
         triples = []

@@ -46,3 +46,15 @@ def test_one_changed_output_is_caught(tmp_path, capsys):
     assert [d["argv"] for d in summary["differences"]] == [ARGVS[0]]
     assert summary["differences"][0]["fields"] == ["stdout"]
     assert "quiver-changed" in summary["differences"][0]["b"]["stdout"]
+
+
+def test_every_argv_file_is_a_nonempty_list_of_nonempty_string_lists():
+    # the files are read by the tool only; none of their argv runs here
+    files = sorted((ROOT / "tools").glob("*_argv.json"))
+    assert {f.name for f in files} >= {"entropy_argv.json", "stab_argv.json"}
+    for path in files:
+        argvs = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(argvs, list) and argvs, path.name
+        for argv in argvs:
+            assert isinstance(argv, list) and argv, (path.name, argv)
+            assert all(isinstance(a, str) and a for a in argv), (path.name, argv)

@@ -33,7 +33,7 @@ from sdlab import (
     volume,
 )
 from sdlab.derived import serre_orbit
-from sdlab.entropy import growth_rate
+from sdlab.entropy import growth_rate, log_sum_exp
 from sdlab.quivers import (
     Quiver,
     coxeter_matrix,
@@ -42,7 +42,7 @@ from sdlab.quivers import (
     log_spectral_radius,
 )
 
-from orientations import every_orientation
+from orientations import every_orientation, oriented
 
 A2 = parse_quiver("A2")
 K2 = parse_quiver("K2")
@@ -175,9 +175,22 @@ def first_return(levels):
 
 def stepped_series_levels(q, n):
     """Level j of the series off the stepped orbit, by the pairwise
-    `hom_poincare`: the reference, key order included."""
+    `hom_poincare`: the reference."""
     g = standard_generator(q)
     return [hom_poincare(g, DerivedObject.create(q, lev)) for lev in stepped_levels(g, n)]
+
+
+LOG_F_TS = (-2.5, -1.0, 0.0, 0.3, 1.0, 2.7)
+
+
+def assert_log_f_matches(series, reference):
+    """On a connected quiver, log_f(n, t) equals under == the log-sum-exp of
+    each (n, reference level), summed in hom_poincare's key order: a level
+    has at most two keys there, so its key order decides no bit."""
+    assert series.quiver.is_connected()
+    for n, lev in reference:
+        for t in LOG_F_TS:
+            assert series.log_f(n, t) == log_sum_exp(math.log(d) - m * t for m, d in lev.items())
 
 
 DYNKIN_PERIOD = ("A4", "A8", "D6", "D8", "E6", "E7", "E8")
@@ -212,8 +225,11 @@ def test_orbit_apply_and_series_match_the_stepped_oracle(text, n):
     assert serre_apply(g, -n).summands == stepped_levels(g, n, inverse=True)[n]
     expect = stepped_series_levels(q, n)
     series = entropy_series(q, n)
-    for got, want in zip(series.levels, expect, strict=True):
-        assert list(got.items()) == list(want.items())
+    assert list(series.levels) == expect
+    if q.is_connected():
+        # two periods of every preset; test_period_view_matches_the_stepped_oracle
+        # reads far levels, whose keys the period moves
+        assert_log_f_matches(series, enumerate(expect[:61]))
     assert series.m_minus == tuple(-min(lev) for lev in expect)
     assert series.m_plus == tuple(-max(lev) for lev in expect)
 
@@ -247,16 +263,18 @@ def test_period_view_matches_the_stepped_oracle(q, n):
     for j in picks:
         expect = want(j)
         for index in (j, j - n - 1):  # negative indices count from the end
-            assert list(series.levels[index].items()) == list(expect.items())
+            assert series.levels[index] == expect
             assert series.m_minus[index] == -min(expect)
             assert series.m_plus[index] == -max(expect)
     for cut in (slice(-3, None), slice(max(p - 1, 0), p + 2), slice(n, 0, -max(1, n // 5))):
         js = range(*cut.indices(n + 1))
         got = series.levels[cut]
         assert isinstance(got, tuple) and len(got) == len(js)
-        assert [list(lev.items()) for lev in got] == [list(want(j).items()) for j in js]
+        assert list(got) == [want(j) for j in js]
         assert series.m_minus[cut] == tuple(-min(want(j)) for j in js)
         assert series.m_plus[cut] == tuple(-max(want(j)) for j in js)
+    if q.is_connected():
+        assert_log_f_matches(series, ((j, want(j)) for j in picks))
     for index in (n + 1, -n - 2):
         with pytest.raises(IndexError):
             series.levels[index]
@@ -361,9 +379,7 @@ def test_components_returning_with_different_shifts_are_no_period(text):
     assert list(serre_orbit(g, 40)) == forward
     assert serre_apply(g, 40).summands == forward[40]
     assert serre_apply(g, -40).summands == stepped_levels(g, 40, inverse=True)[40]
-    levels = entropy_series(q, 40).levels
-    assert [list(lev.items()) for lev in levels] == [
-        list(lev.items()) for lev in stepped_series_levels(q, 40)]
+    assert list(entropy_series(q, 40).levels) == stepped_series_levels(q, 40)
 
 
 def test_serre_orbit_steps_only_its_first_period(monkeypatch):
@@ -443,15 +459,47 @@ ORACLE_QUIVERS = (
 
 @pytest.mark.parametrize("text", ORACLE_QUIVERS)
 def test_series_levels_match_pairwise_hom_poincare(text):
-    # The pairwise path on the stepped orbit is the reference, key order
-    # included: log_f sums its terms in dict order, so the order fixes the
-    # float bits.
+    # the pairwise path on the stepped orbit is the reference: the levels
+    # as mappings, and log_f to the bit as if summed in its key order
     q = parse_quiver(text)
     series = entropy_series(q, 60)
-    for n, expect in enumerate(stepped_series_levels(q, 60)):
-        assert list(series.levels[n].items()) == list(expect.items())
+    reference = stepped_series_levels(q, 60)
+    for n, expect in enumerate(reference):
+        assert series.levels[n] == expect
         assert series.m_minus[n] == -min(expect)
         assert series.m_plus[n] == -max(expect)
+    assert_log_f_matches(series, enumerate(reference))
+
+
+KEY_BOUND_SHAPES = ("A2", "A3", "A4", "A5", "A6", "A7", "D4", "D5", "D6", "E6")
+
+
+def _key_bound_quivers():
+    """Every orientation of KEY_BOUND_SHAPES, then 8 seeded ones each of E7 and E8."""
+    quivers = [q for name in KEY_BOUND_SHAPES for q in every_orientation(name)]
+    rng = random.Random(2026)
+    for name in ("E7", "E8"):
+        edges = len(parse_quiver(name).undirected_edges())
+        quivers += [oriented(name, [rng.randrange(2) for _ in range(edges)]) for _ in range(8)]
+    return quivers
+
+
+def test_levels_have_at_most_two_keys_and_one_off_dynkin(monkeypatch):
+    # the bound that lets log_f sum a level in walk order: a two-term
+    # log-sum-exp is the same float in either order; the stored period
+    # holds every level up to a shift
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    entropy_series.cache_clear()
+    quivers = _key_bound_quivers()
+    assert len(quivers) == 2 + 4 + 8 + 16 + 32 + 64 + 8 + 16 + 32 + 32 + 16
+    for q in quivers:
+        levels = entropy_series(q, classify_dynkin(q).coxeter_number).levels
+        assert max(map(len, levels.period)) <= 2
+    for text in ("K2", MORE_QUIVERS["A~2"], MORE_QUIVERS["D~4"], "K3"):
+        q = parse_quiver(text)
+        assert all(len(lev) == 1 for lev in stepped_series_levels(q, 10))
+        assert all(len(lev) == 1 for lev in entropy_series(q, 10).levels)
+    entropy_series.cache_clear()
 
 
 ESTIMATOR_QUIVERS = (
@@ -537,7 +585,6 @@ def test_series_caches_are_bounded(fits):
     assert len(fits) == 136
     series = entropy_series(q, 30, DEFAULT_BUDGET)  # the key the estimates use
     assert len(vars(series)["estimates"]) == 64
-    assert set(series.logs) == {d for lev in series.levels for d in lev.values()}
     assert entropy_series.cache_info().maxsize == 64
 
 
@@ -773,9 +820,9 @@ def test_stored_period_readers_match_a_fresh_walk(monkeypatch, text):
     sigma = sdlab.make_stability(q, [1j] * q.n)  # every indecomposable semistable
     for n in (top, *range(1, top + 1)):
         series = entropy_series(q, n)
-        assert [dict(lev) for lev in series.levels] == series_levels[:n + 1]
-        assert [list(lev.items()) for lev in series.levels] == [
-            list(lev.items()) for lev in series_levels[:n + 1]]
+        assert list(series.levels) == series_levels[:n + 1]
+        # over n = 1..top this reads every level, each through a series ending there
+        assert_log_f_matches(series, ((j, series_levels[j]) for j in (0, n)))
         assert series.m_minus == tuple(-min(lev) for lev in series_levels[:n + 1])
         assert series.m_plus == tuple(-max(lev) for lev in series_levels[:n + 1])
         assert serre_apply(g, n).summands == forward[n]
@@ -870,10 +917,9 @@ def test_non_finite_t_is_rejected_on_every_quiver(text):
             entropy_estimate(q, t)
         with pytest.raises(ConfigError, match="^t must be finite"):
             entropy_profile(q, (0.0, 1.0, t))
-    with pytest.raises(ConfigError, match="^t must be finite, got inf$"):
-        volume(q, math.inf)
-    with pytest.raises(ConfigError, match="^t must be finite, got nan$"):
-        volume(q, math.nan)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="^lam must be finite, got %r$" % lam):
+            volume(q, lam)
     if classify_dynkin(q) is not None:
         assert math.nan not in vars(entropy_series(q, 30)).get("estimates", {})
         sigma = gepner_construct(q)

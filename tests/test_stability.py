@@ -1,20 +1,24 @@
 import cmath
 import itertools
 import math
+import re
 
 import pytest
 
 import sdlab.reps
+import sdlab.stability
 from sdlab import (
     CatalogIncomplete,
     ConfigError,
     GldimTooLarge,
+    HeartEscape,
     HeartMismatch,
     NotAllSemistable,
     NotAStabilityFunction,
     NotConnectedSubset,
     NotDynkin,
     QuiverMismatch,
+    SdlabError,
     act,
     extract_exceptional_collection,
     gepner_check,
@@ -29,10 +33,11 @@ from sdlab import (
     sigma_from_json,
 )
 from sdlab.catalog import catalog_for
-from sdlab.derived import standard_generator
+from sdlab.derived import serre_orbit, standard_generator
+from sdlab.entropy import growth_rate, log_sum_exp, tail_window
 from sdlab.quivers import Quiver, classify_dynkin
 from sdlab.reps import catalog_reps, exists_mono
-from sdlab.stability import PHASE_TOL
+from sdlab.stability import PHASE_TOL, MassGrowth
 
 from exact_tables import exact_hom_ext
 from orientations import every_orientation
@@ -469,3 +474,117 @@ def test_gepner_rotation_search_on_every_orientation():
             assert gepner_check(sigma, (h - 2) / h).verdict
             assert all(z.imag > 0 or (z.imag == 0 and z.real < 0) for z in sigma.z_simples)
     assert built > 0
+
+
+def full_orbit_mass_growth(sigma, t_grid, n_max=30):
+    """The oracle: mass growth off all n_max + 1 levels of G's orbit, each
+    level's (|Z|, phase) built and its semistability checked in turn."""
+    if n_max < 1:
+        raise ConfigError("n_max must be at least 1")
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        raise ConfigError("mass growth needs a nonempty t grid")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ConfigError("t must be finite, got %r" % t)
+    q = sigma.quiver
+    by_ident = {r.ident: r for r in sigma.records}
+    level_data = []
+    for n, pairs in enumerate(serre_orbit(standard_generator(q), n_max)):
+        data = []
+        for ident, k in pairs:
+            r = by_ident.get(ident)
+            if r is None:
+                raise NotAllSemistable("summand id %d of S^%d G is not semistable" % (ident, n))
+            data.append((abs(r.z), r.phase + (k - r.shift)))
+        level_data.append(data)
+    rates = [
+        growth_rate(q, n_max, lambda n: log_sum_exp(math.log(a) + p * t for a, p in level_data[n]))
+        for t in ts
+    ]
+    window = tail_window(n_max)
+    return MassGrowth(tuple(ts), tuple(rates),
+                      max(max(p for _, p in level_data[n]) / n for n in window),
+                      max(min(p for _, p in level_data[n]) / n for n in window))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except SdlabError as exc:
+        return type(exc), str(exc)
+
+
+MASS_GEPNER = ("A2", "A3", "A4", "A5", "A6", "A7", "A8", "D4", "D5", "D6", "D7", "D8",
+               "E6", "E7", "E8")
+MASS_TS = (-1.5, 0.0, 2.0)
+# samples whose orbit is all semistable, and ones whose first unstable summand
+# lies in S^0 G, S^1 G or S^2 G
+MASS_SAMPLE_SEEDS = {"A3": (1, 2, 3), "A4": (1, 3, 44), "D4": (2, 19, 29), "E6": (1, 26),
+                     "E8": (1,)}
+
+
+def _mass_conditions():
+    for name in MASS_GEPNER:
+        yield name, gepner_construct(parse_quiver(name))
+    # linear A4 and a non-bipartite E6, every indecomposable semistable
+    for text in ("vertices:4; arrows:1->2,2->3,3->4",
+                 "vertices:6; arrows:1->2,2->3,3->4,4->5,6->3"):
+        q = parse_quiver(text)
+        yield text, make_stability(q, [1j] * q.n)
+    for name, seeds in MASS_SAMPLE_SEEDS.items():
+        for seed in seeds:
+            sigma = sample_stability(parse_quiver(name), seed)
+            for mu in (0.0, 0.35, -1.4):
+                yield "%s-%d-%s" % (name, seed, mu), act(sigma, mu) if mu else sigma
+
+
+def test_mass_growth_matches_the_full_orbit_oracle():
+    # rates and phase bounds under ==, and the same error type and message,
+    # at every n_max up to 2h + 1 and past it
+    outcomes = set()
+    for tag, sigma in _mass_conditions():
+        h = classify_dynkin(sigma.quiver).coxeter_number
+        for n_max in (*range(1, 2 * h + 2), 30, 60, 240):
+            got = _outcome(lambda: mass_growth(sigma, MASS_TS, n_max))
+            assert got == _outcome(lambda: full_orbit_mass_growth(sigma, MASS_TS, n_max)), (
+                tag, n_max)
+            outcomes.add("rates" if isinstance(got, MassGrowth) else got[1].split()[4])
+    assert outcomes == {"rates", "S^0", "S^1", "S^2"}
+
+
+def test_mass_growth_reads_only_the_sampled_levels_and_the_window(monkeypatch):
+    q = parse_quiver("E8")
+    sigma, g = gepner_construct(q), standard_generator(q)
+    n_max = 240
+    p = len(serre_orbit(g, n_max).period)
+    placed, sampled = [], set()
+    real_placed, real_fit = sdlab.stability._placed, sdlab.stability.growth_rate
+
+    def fit(q, n_max, log_f):
+        return real_fit(q, n_max, lambda n: sampled.add(n) or log_f(n))
+
+    monkeypatch.setattr(sdlab.stability, "_placed",
+                        lambda *args: placed.append(args) or real_placed(*args))
+    monkeypatch.setattr(sdlab.stability, "growth_rate", fit)
+    mg = mass_growth(sigma, (0.0, 1.0), n_max)
+    assert mg == full_orbit_mass_growth(sigma, (0.0, 1.0), n_max)
+    levels = len(sampled | set(tail_window(n_max)))
+    assert p == 15 and levels == 124
+    assert len(placed) <= (levels + p) * g.total_summands() < (n_max + 1) * g.total_summands()
+
+
+def test_non_finite_inputs_raise_config_errors_naming_them():
+    sigma = gepner_construct(A3)
+    g = standard_generator(A3)
+    for mu in (math.nan, math.inf, complex(0.3, math.nan)):
+        message = "^mu must be finite, got %s$" % re.escape(repr(complex(mu)))
+        with pytest.raises(ConfigError, match=message):
+            act(sigma, mu)
+        with pytest.raises(ConfigError, match=message):
+            gepner_check(sigma, mu)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="^t must be finite, got %r$" % t):
+            mass(sigma, t, g)
+    with pytest.raises(HeartEscape):
+        act(sigma, 1e300)  # finite, yet past every phase the heart window can hold
