@@ -16,8 +16,6 @@ smooth projective curves.
 from .catalog import IndecCatalog, catalog_for, load_catalog, save_catalog
 from .curves import (
     CurveStability,
-    NumericalClass,
-    curve_charge,
     curve_gldim,
     curve_gldim_bounds,
     curve_inf_scan,
@@ -56,7 +54,6 @@ from .errors import (
     HeartEscape,
     HeartMismatch,
     NotAllSemistable,
-    NotARoot,
     NotAStabilityFunction,
     NotConnectedSubset,
     NotDynkin,
@@ -64,8 +61,6 @@ from .errors import (
     ParseError,
     QuiverMismatch,
     SdlabError,
-    ZeroClass,
-    ZeroObject,
 )
 from .quivers import (
     DynkinClass,
@@ -78,7 +73,6 @@ from .quivers import (
     euler_matrix,
     parse_quiver,
     positive_roots,
-    symmetrized_form,
     tits_form,
 )
 from .stability import (
@@ -107,11 +101,11 @@ __all__ = [
     "BudgetExceeded", "CatalogIncomplete", "CatalogMiss", "ConfigError",
     "CyclicQuiver", "DimensionMismatch", "DisconnectedQuiver", "EmptyGrid",
     "GenusTooSmall", "GldimTooLarge", "HeartEscape", "HeartMismatch",
-    "NotAllSemistable", "NotARoot", "NotAStabilityFunction",
+    "NotAllSemistable", "NotAStabilityFunction",
     "NotConnectedSubset", "NotDynkin", "NotIndecomposable", "ParseError",
-    "QuiverMismatch", "SdlabError", "ZeroClass", "ZeroObject",
+    "QuiverMismatch", "SdlabError",
     "Quiver", "EulerData", "DynkinClass", "parse_quiver", "euler_matrix",
-    "euler_form", "symmetrized_form", "tits_form", "coxeter_matrix",
+    "euler_form", "tits_form", "coxeter_matrix",
     "coxeter_order", "classify_dynkin", "positive_roots",
     "IndecCatalog", "catalog_for", "save_catalog", "load_catalog",
     "DerivedObject", "standard_generator", "serre_apply", "hom_poincare",
@@ -123,7 +117,7 @@ __all__ = [
     "gepner_check", "gepner_construct", "sample_stability",
     "extract_exceptional_collection", "restrict_to_subquiver",
     "sigma_from_json",
-    "NumericalClass", "CurveStability", "curve_charge", "curve_gldim",
+    "CurveStability", "curve_gldim",
     "curve_gldim_bounds", "curve_inf_scan", "shift_gap_grid",
     "genus0_pair_sup", "genus1_pair_sup",
     "CheckResult", "VerifySummary", "run_all",

@@ -1,12 +1,13 @@
 """Global dimension bounds for stability conditions on smooth projective
-curves, in the numerical-class model.
+curves.
 
-A class (r, d) has central charge Z = -d + r (beta + i H).  Genus 0 and 1
-give global dimension exactly 1; genus g >= 2 gives the closed-form lower
-and upper bounds coming from the pairing of a line bundle with its Serre
-twist, with the upper bound optimizing the twist shift over the reals.
-Desk-scale pair scans over explicit numerical classes approach the bounds
-from below and serve as oracles.
+A numerical class of rank r and degree d has central charge
+Z = -d + r (beta + i H); the bounds and the pair oracles write its phase
+inline, with no class type.  Genus 0 and 1 give global dimension exactly 1;
+genus g >= 2 gives the closed-form lower and upper bounds coming from the
+pairing of a line bundle with its Serre twist, with the upper bound
+optimizing the twist shift over the reals.  Desk-scale pair scans over
+explicit classes approach the bounds from below and serve as oracles.
 """
 
 from __future__ import annotations
@@ -14,16 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import ConfigError, EmptyGrid, GenusTooSmall, ZeroClass, require_finite
-
-
-class NumericalClass(namedtuple("NumericalClass", "r d")):
-    __slots__ = ()
-
-    def __new__(cls, r: int, d: int):
-        if r == 0 and d == 0:
-            raise ZeroClass("the zero numerical class has no charge")
-        return super().__new__(cls, r, d)
+from .errors import ConfigError, EmptyGrid, GenusTooSmall, require_finite
 
 
 class CurveStability(namedtuple("CurveStability", "genus beta H")):
@@ -41,15 +33,6 @@ class CurveStability(namedtuple("CurveStability", "genus beta H")):
 def arccot(x: float) -> float:
     """Principal inverse cotangent with values in (0, pi)."""
     return math.pi / 2.0 - math.atan(x)
-
-
-def curve_charge(cs: CurveStability, cls: NumericalClass) -> tuple[complex, float]:
-    """Charge Z = -d + r (beta + i H) and its phase, normalized into (0, 2]
-    so that sheaf classes (r > 0, or torsion with d > 0) land in (0, 1]."""
-    z = complex(cs.beta * cls.r - cls.d, cs.H * cls.r)
-    raw = math.atan2(z.imag, z.real) / math.pi
-    phase = raw if raw > 0 else raw + 2.0
-    return z, phase
 
 
 def curve_gldim_bounds(cs: CurveStability) -> tuple[float, float]:

@@ -13,7 +13,8 @@ injectives at most once, so `serre_apply` maps each summand through one
 matrix power A^p instead, and each orbit level is one such power;
 disconnected quivers keep the steps, as their Dynkin components cross many
 times (and A2 + A2 has a period).  Hom Poincare data comes from the
-catalog's pairwise Euler form with degree bookkeeping.
+catalog's pairwise Euler form with degree bookkeeping.  The zero object is
+the empty sum, and its Hom Poincare data is empty.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .catalog import IndecCatalog, catalog_for
-from .errors import QuiverMismatch, ZeroObject
+from .errors import QuiverMismatch
 from .quivers import Quiver
 
 
@@ -200,8 +201,3 @@ def hom_poincare(x: DerivedObject, y: DerivedObject) -> dict[int, int]:
                 m = a - b + (c < 0)
                 out[m] = out.get(m, 0) + abs(c)
     return out
-
-
-def require_nonzero(x: DerivedObject, what: str = "object") -> None:
-    if x.is_zero():
-        raise ZeroObject("%s is the zero object" % what)

@@ -278,11 +278,16 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
     return SerreDims(upper=upper, lower=lower, exact=Fraction(h - 2, h))
 
 
-def volume(q: Quiver, lam: float, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> float:
-    """exp of the entropy at t = log(lambda); lambda must be finite and positive."""
+def volume(q: Quiver, lam: float, n_max: int = 30) -> float:
+    """exp of the entropy at t = log(lambda); lambda must be finite and
+    positive, and ConfigError when the volume leaves the float range."""
     if require_finite("lam", lam) <= 0:
         raise ConfigError("volume scale factor must be positive")
-    return math.exp(entropy_estimate(q, math.log(lam), n_max, budget))
+    h = entropy_estimate(q, math.log(lam), n_max)
+    try:
+        return math.exp(h)
+    except OverflowError:
+        raise ConfigError("volume leaves the float range; use a smaller lam") from None
 
 
 class EntropyProfile(namedtuple("EntropyProfile", "slope intercept residual c_hat")):

@@ -35,10 +35,6 @@ class QuiverMismatch(SdlabError):
     """Two representations or objects live over different quivers."""
 
 
-class NotARoot(SdlabError):
-    """Vector is not a positive root of the quiver's Tits form."""
-
-
 class NotIndecomposable(SdlabError):
     """Representation failed the brick test (End dimension != 1)."""
 
@@ -83,20 +79,12 @@ class GenusTooSmall(SdlabError):
     """Closed-form curve bounds need genus at least 2."""
 
 
-class ZeroClass(SdlabError):
-    """Numerical class is zero or an inadmissible torsion class."""
-
-
 class EmptyGrid(SdlabError):
     """A scan grid must contain at least one point."""
 
 
 class BudgetExceeded(SdlabError):
     """Dimension growth passed the configured budget."""
-
-
-class ZeroObject(SdlabError):
-    """The zero object has no growth data."""
 
 
 class ConfigError(SdlabError):

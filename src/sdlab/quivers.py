@@ -175,10 +175,6 @@ def euler_form(q: Quiver, d, e) -> int:
     return total
 
 
-def symmetrized_form(q: Quiver, d, e) -> int:
-    return euler_form(q, d, e) + euler_form(q, e, d)
-
-
 def tits_form(q: Quiver, d) -> int:
     return euler_form(q, d, d)
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import exactmat as xm
-from .catalog import IndecCatalog, catalog_for
-from .errors import NotARoot, NotDynkin, NotIndecomposable, QuiverMismatch
+from .catalog import IndecCatalog
+from .errors import NotIndecomposable, QuiverMismatch
 from .prng import SplitMix64, fold_seed
-from .quivers import Quiver, classify_dynkin, euler_form
+from .quivers import Quiver, euler_form
 
 
 class Representation(namedtuple("Representation", "quiver dim_vector arrow_maps")):
@@ -39,10 +39,6 @@ class Representation(namedtuple("Representation", "quiver dim_vector arrow_maps"
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
-
-
-def zero_rep(q: Quiver) -> Representation:
-    return Representation(q, (0,) * q.n, tuple(xm.zeros(0, 0) for _ in q.arrows))
 
 
 def simple_rep(q: Quiver, i: int) -> Representation:
@@ -334,14 +330,3 @@ def catalog_reps(cat: IndecCatalog) -> list[Representation | None]:
                 reps[ident] = injective_rep(q, j)
         _KNITTED[q] = reps
     return _KNITTED[q]
-
-
-def indecomposable_from_root(q: Quiver, d) -> Representation:
-    """The unique indecomposable with dimension vector d (Dynkin only)."""
-    key = tuple(int(x) for x in d)
-    if classify_dynkin(q) is None:
-        raise NotDynkin("positive roots need an ADE quiver")
-    cat = catalog_for(q)  # its dimension vectors are the positive roots
-    if key not in cat.by_dim:
-        raise NotARoot("%s is not a positive root" % (key,))
-    return catalog_reps(cat)[cat.by_dim[key]]

@@ -245,7 +245,10 @@ def act(sigma: StabilityCondition, action) -> StabilityCondition:
             triples.append((ident2, r.shift + delta, r.phase))
     else:
         mu = require_finite("mu", complex(action))
-        w = cmath.exp(-1j * math.pi * mu)
+        try:
+            w = cmath.exp(-1j * math.pi * mu)
+        except (OverflowError, ValueError):  # pi mu is infinite, or |w| is
+            raise ConfigError("rotation by mu leaves the float range; use a smaller |mu|") from None
         new_z = tuple(z * w for z in sigma.z_simples)
         triples = []
         for r in sigma.records:

@@ -388,6 +388,26 @@ def test_nonpositive_count_exits_two(capsys, argv, message):
     assert json.loads(err)["error"]["message"] == message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["volume", "--quiver", "K3", "--lam", "1e308"],
+         "volume leaves the float range; use a smaller lam"),
+        (["volume", "--quiver", "E7", "--lam", "2,1e308", "--nmax", "2"],
+         "volume leaves the float range; use a smaller lam"),
+        (["stab", "gepner", "--quiver", "D4", "--check", "--mu=1e308"],
+         "rotation by mu leaves the float range; use a smaller |mu|"),
+        (["gepner", "--quiver", "A2", "--check", "--mu=-1e308"],
+         "rotation by mu leaves the float range; use a smaller |mu|"),
+    ],
+    ids=["volume-K3", "volume-E7", "stab-gepner", "gepner"],
+)
+def test_results_past_the_float_range_exit_two(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "ConfigError", "message": message}}
+
+
 def test_curve_zero_h_is_not_a_missing_h(capsys):
     code, out, err = _run(capsys, ["curve", "--genus", "2", "--H", "0"])
     assert code == 2 and out == ""

@@ -11,9 +11,6 @@ from sdlab import (
     CurveStability,
     EmptyGrid,
     GenusTooSmall,
-    NumericalClass,
-    ZeroClass,
-    curve_charge,
     curve_gldim,
     curve_gldim_bounds,
     curve_inf_scan,
@@ -26,8 +23,6 @@ G2 = CurveStability(2, 0.0, 1.0)
 
 
 def test_class_and_parameter_guards():
-    with pytest.raises(ZeroClass):
-        NumericalClass(0, 0)
     with pytest.raises(GenusTooSmall):
         CurveStability(-1, 0.0, 1.0)
     with pytest.raises(ConfigError):
@@ -48,25 +43,6 @@ def test_class_and_parameter_guards():
 def test_nonfinite_curve_parameters_raise(call):
     with pytest.raises(ConfigError, match="must be finite"):
         call()
-
-
-def test_charge_phase_window():
-    z, phase = curve_charge(G2, NumericalClass(1, 0))
-    assert z == 1j and abs(phase - 0.5) < 1e-15
-    z, phase = curve_charge(G2, NumericalClass(0, 1))
-    assert z == -1.0 and phase == 1.0
-    z, phase = curve_charge(G2, NumericalClass(0, -1))
-    assert z == 1.0 and phase == 2.0
-    z, phase = curve_charge(G2, NumericalClass(-1, 0))
-    assert abs(phase - 1.5) < 1e-15
-
-
-def test_canonical_twist_phase():
-    # class of a degree 2g-2 line bundle at genus 2
-    _, phase = curve_charge(G2, NumericalClass(1, 2))
-    want = 1.0 - math.atan2(1.0, 2.0) / math.pi
-    assert abs(phase - want) < 1e-15
-    assert abs(phase - 0.8524163823495667) < 1e-12
 
 
 def test_genus_two_bounds_at_unit_polarization():
@@ -235,12 +211,3 @@ def test_genus_one_slope_scan_scales():
     val = genus1_pair_sup(CurveStability(1, 0.0, 1.0), r_max=300, d_max=300)
     assert time.perf_counter() - t0 < 5.0
     assert genus1_pair_sup(CurveStability(1, 0.0, 1.0)) < val < 1.0
-
-
-def test_beta_shift_charge_identity():
-    base = CurveStability(2, 0.25, 1.0)
-    shifted = CurveStability(2, 1.25, 1.0)
-    for r, d in ((1, 0), (2, 3), (5, -4), (0, 2)):
-        z1, _ = curve_charge(shifted, NumericalClass(r, d))
-        z2, _ = curve_charge(base, NumericalClass(r, d - r))
-        assert z1 == z2

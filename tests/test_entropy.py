@@ -773,6 +773,12 @@ def test_volume_values():
         volume(A2, 0.0)
     with pytest.raises(ConfigError):
         volume(A2, -2.0)
+    # h_t at t = log 1e308 is t + log rho on K3 and K5, and E7 at n_max = 2
+    # extrapolates above t, so exp(h_t) overflows; E8 stays below
+    for q, n_max in ((parse_quiver("K3"), 30), (parse_quiver("K5"), 30), (parse_quiver("E7"), 2)):
+        with pytest.raises(ConfigError, match="^volume leaves the float range; use a smaller lam$"):
+            volume(q, 1e308, n_max)
+    assert volume(parse_quiver("E8"), 1e308) == 2.317838454138109e+297
 
 
 def test_profile_certifies_affine_entropy():

@@ -3,7 +3,8 @@ belongs to its module, so no sibling imports it or reads it off the module
 object.  Dunder names such as `__version__` are public.  And the pairwise
 Euler form is the catalog's: outside `catalog.py` and the `reps` oracle no
 module calls `euler_form` per pair, but reads the catalog's chi table.
-Likewise powers of the Serre functor step the catalog only in one walk."""
+Likewise powers of the Serre functor step the catalog only in one walk.
+And every exported name has a reader outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import sdlab
 
 PACKAGE = Path(sdlab.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]  # the checkout: perfbench/ and demos/ sit here
 
 
 def _private(name: str) -> bool:
@@ -92,7 +94,6 @@ def _callers(name: str) -> set[str]:
 
 # the forms built on it where it is defined, and the check of euler_form itself
 EULER_FORM_CALLERS = {
-    "quivers.py:symmetrized_form",
     "quivers.py:tits_form",
     "verify.py:check_euler_form_random_agreement",
 }
@@ -145,3 +146,55 @@ def test_the_check_sees_steps_taken_as_bound_methods(tmp_path):
     )
     assert _calls(path, "serre_step") == ["mod.py:walk", "mod.py:act"]
     assert _calls(path, "serre_inv_step") == ["mod.py:walk"]
+
+
+def _reads(path: Path) -> set[str]:
+    """The names `path` reads, by bare name or off an object, outside the
+    function or class of the same name (a class reading itself in its own
+    methods is no caller)."""
+    found = set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, inside | {child.name})
+                continue
+            if isinstance(getattr(child, "ctx", None), ast.Load):  # a Name's id, an Attribute's attr
+                name = getattr(child, "id", None) or getattr(child, "attr", None)
+                if name is not None and name not in inside:
+                    found.add(name)
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def _exported_names_without_a_reader(files) -> list[str]:
+    read = set().union(*map(_reads, files))
+    return [name for name in sdlab.__all__ if name not in read]
+
+
+def test_every_exported_name_has_a_reader():
+    # the package outside `__init__.py`, the benchmark and the demos; the
+    # tests do not count, so a name only its own test calls fails here
+    files = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py"))
+    assert _exported_names_without_a_reader(files) == []
+
+
+def test_the_check_sees_readers_outside_the_definition(tmp_path, monkeypatch):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import sdlab as sd\n"
+        "class Kept:\n"
+        "    def copy(self):\n"
+        "        return Kept()\n"
+        "def unread(x):\n"
+        "    return unread(x - 1)\n"
+        "def tits_form(q, d):\n"
+        "    return tits_form(q, d)\n"
+        "def caller():\n"
+        "    return sd.volume, tits_form(q, d)\n"
+    )
+    monkeypatch.setattr(sdlab, "__all__", ["Kept", "unread", "volume", "tits_form"])
+    assert _exported_names_without_a_reader([path]) == ["Kept", "unread"]

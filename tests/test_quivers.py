@@ -22,7 +22,6 @@ from sdlab import (
     euler_matrix,
     parse_quiver,
     positive_roots,
-    symmetrized_form,
     tits_form,
 )
 from sdlab.prng import SplitMix64
@@ -89,7 +88,6 @@ def test_euler_form_matches_matrix():
             d[i] * e[i][j] * f[j] for i in range(q.n) for j in range(q.n)
         )
         assert euler_form(q, d, f) == via_matrix
-        assert symmetrized_form(q, d, f) == euler_form(q, d, f) + euler_form(q, f, d)
 
 
 def test_euler_form_dimension_check():

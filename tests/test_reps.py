@@ -6,7 +6,6 @@ import sdlab.reps
 from sdlab import (
     CatalogIncomplete,
     IndecCatalog,
-    NotARoot,
     NotIndecomposable,
     QuiverMismatch,
     catalog_for,
@@ -25,11 +24,9 @@ from sdlab.reps import (
     ext1_dim,
     hom_dim,
     hom_space,
-    indecomposable_from_root,
     injective_rep,
     projective_rep,
     simple_rep,
-    zero_rep,
 )
 
 from exact_tables import exact_hom_ext
@@ -49,7 +46,6 @@ def test_projective_injective_dimension_vectors():
     assert injective_rep(A3, 3).dim_vector == (0, 0, 1)
     assert projective_rep(K2, 1).dim_vector == (1, 2)
     assert injective_rep(K2, 2).dim_vector == (2, 1)
-    assert zero_rep(A2).is_zero()
     assert simple_rep(A2, 2).dim_vector == (0, 1)
 
 
@@ -256,11 +252,3 @@ def test_kronecker_virtual_serre_orbit():
     prev, delta = cat.serre_inv_step(p2)
     assert delta == -1
     assert cat.entries[prev].dim_vector == (2, 3)
-
-
-def test_indecomposable_from_root():
-    rep = indecomposable_from_root(A3, (1, 1, 1))
-    assert rep.dim_vector == (1, 1, 1)
-    assert hom_dim(rep, rep) == 1
-    with pytest.raises(NotARoot):
-        indecomposable_from_root(A2, (2, 1))

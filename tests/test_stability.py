@@ -588,3 +588,10 @@ def test_non_finite_inputs_raise_config_errors_naming_them():
             mass(sigma, t, g)
     with pytest.raises(HeartEscape):
         act(sigma, 1e300)  # finite, yet past every phase the heart window can hold
+    # pi mu is infinite at 1e308, and |exp(-i pi mu)| = exp(300 pi) at 300i
+    message = "^rotation by mu leaves the float range; use a smaller \\|mu\\|$"
+    for mu in (1e308, -1e308, 300j):
+        with pytest.raises(ConfigError, match=message):
+            act(sigma, mu)
+        with pytest.raises(ConfigError, match=message):
+            gepner_check(sigma, mu)
