@@ -3,7 +3,7 @@ curves.
 
 A numerical class of rank r and degree d has central charge
 Z = -d + r (beta + i H); the bounds and the pair oracles write its phase
-inline, with no class type.  Genus 0 and 1 give global dimension exactly 1;
+inline.  Genus 0 and 1 give global dimension exactly 1;
 genus g >= 2 gives the closed-form lower and upper bounds coming from the
 pairing of a line bundle with its Serre twist, with the upper bound
 optimizing the twist shift over the reals.  Desk-scale pair scans over

@@ -279,8 +279,8 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
 
 
 def volume(q: Quiver, lam: float, n_max: int = 30) -> float:
-    """exp of the entropy at t = log(lambda); lambda must be finite and
-    positive, and ConfigError when the volume leaves the float range."""
+    """exp of the entropy at t = log(lambda) for a finite, positive lambda;
+    ConfigError when it leaves the float range."""
     if require_finite("lam", lam) <= 0:
         raise ConfigError("volume scale factor must be positive")
     h = entropy_estimate(q, math.log(lam), n_max)
