@@ -13,7 +13,7 @@ integer hom table.  A separate numeric module covers slope stability on
 smooth projective curves.
 """
 
-from .catalog import IndecCatalog, catalog_for, load_catalog, save_catalog
+from .catalog import IndecCatalog, catalog_for
 from .curves import (
     CurveStability,
     curve_gldim,
@@ -107,7 +107,7 @@ __all__ = [
     "Quiver", "EulerData", "DynkinClass", "parse_quiver", "euler_matrix",
     "euler_form", "tits_form", "coxeter_matrix",
     "coxeter_order", "classify_dynkin", "positive_roots",
-    "IndecCatalog", "catalog_for", "save_catalog", "load_catalog",
+    "IndecCatalog", "catalog_for",
     "DerivedObject", "standard_generator", "serre_apply", "hom_poincare",
     "DEFAULT_BUDGET", "EntropySeries", "EntropyProfile", "SerreDims",
     "entropy_series", "entropy_estimate", "sdim_estimate", "volume",

@@ -11,18 +11,17 @@ matrix power (`serre_power`): there an orbit crosses from the projectives to
 the injectives at most once.  Hom and Ext come from one integer table of
 the Euler form, chi = D E D^T over the dimension vectors D, so nothing here
 calls into the exact representations of `reps`.  `catalog_for` keys its
-catalogs by the quiver value, and keeps them for the life of the process;
-with a Dynkin catalog goes the projective generator's Serre period
-(`generator_periods`, at most h levels per sign), which `derived` walks
-on first use and every later series, orbit and power of G reads.  The Dynkin knitting is the package's one
+catalogs by the quiver value and keeps them in memory, never on disk, for
+the life of the process; with a Dynkin catalog goes the projective
+generator's Serre period (`generator_periods`, at most h levels per sign),
+which `derived` walks on first use and every later series, orbit and power
+of G reads.  The Dynkin knitting is the package's one
 source of positive roots (`positive_roots` reads it), certified by the Tits
 form and the count nh/2; the reflection closure is only a test oracle.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections import namedtuple
 
 from .errors import CatalogIncomplete, CatalogMiss
@@ -36,8 +35,6 @@ from .quivers import (
     path_counts,
     tits_form,
 )
-
-CATALOG_FORMAT_VERSION = 2
 
 
 class CatalogEntry(namedtuple("CatalogEntry", "ident dim_vector proj_vertex inj_vertex")):
@@ -70,13 +67,11 @@ class IndecCatalog:
     Dynkin, on a connected quiver (`single_crossing`), `serre_power` applies
     A^p at once and registers only the image, so virtual ids follow the
     order of the calls; a disconnected quiver can have Dynkin components,
-    whose orbits cross P -> I again and again, so it is stepped.
-
-    `records` are a saved catalog's (dim, proj_vertex, inj_vertex) triples
-    in id order; by default the orbits are walked.  Both go through `_link`.
+    whose orbits cross P -> I again and again, so it is stepped.  A
+    catalog is built from the quiver alone and lives in memory only.
     """
 
-    def __init__(self, quiver: Quiver, records=None):
+    def __init__(self, quiver: Quiver):
         self.quiver = quiver
         connected = quiver.is_connected()
         self.dynkin = classify_dynkin(quiver) if connected else None
@@ -100,7 +95,7 @@ class IndecCatalog:
         # return S^(sign p) G = G[k]; `derived.serre_orbit` walks it on first
         # use, on a Dynkin catalog only, so it holds at most h levels per sign
         self.generator_periods: dict[int, tuple[list, int]] = {}
-        for dim, proj_vertex, inj_vertex in records or self._walk(proj, inj):
+        for dim, proj_vertex, inj_vertex in self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
         self._link()
 
@@ -263,57 +258,14 @@ class IndecCatalog:
             )
 
 
-# ------------------------------------------------------- catalog persistence
-
-
-def save_catalog(cat: IndecCatalog, path: str) -> None:
-    """Persist a complete (Dynkin) catalog: each entry's dimension vector and
-    flags, in id order; the Serre steps are recomputed after load."""
-    cat.require_complete()
-    payload = {
-        "format_version": CATALOG_FORMAT_VERSION,
-        "quiver": cat.quiver.text(),
-        "entries": [[list(e.dim_vector), e.proj_vertex, e.inj_vertex] for e in cat.entries],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def load_catalog(path: str, expect_quiver: Quiver) -> IndecCatalog | None:
-    """Rebuild a catalog from disk; None when stale or mismatched."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload["format_version"] != CATALOG_FORMAT_VERSION:
-            return None
-        if payload["quiver"] != expect_quiver.text():
-            return None
-        recs = payload["entries"]
-        cat = IndecCatalog(expect_quiver, recs)
-    except (OSError, LookupError, TypeError, ValueError, AssertionError):
-        return None
-    return cat if cat.is_complete and cat.size() == len(recs) else None
-
-
 _CATALOGS: dict[Quiver, IndecCatalog] = {}
 
 
 def catalog_for(q: Quiver, cache_dir: str | None = None, cache_key: str | None = None) -> IndecCatalog:
-    """Memoized catalog per quiver value, so a lookup formats no text;
-    optional JSON cache for named presets."""
+    """Memoized catalog per quiver value, so a lookup formats no text.
+    `cache_dir` and `cache_key` are ignored: perfbench's traced replay still
+    passes them, until ROADMAP's benchmark maintenance item drops them."""
     cat = _CATALOGS.get(q)
-    if cat is not None:
-        return cat
-    path = None
-    if cache_dir and cache_key:
-        path = os.path.join(cache_dir, "catalog-%s-v%d.json" % (cache_key, CATALOG_FORMAT_VERSION))
-        cat = load_catalog(path, q)
     if cat is None:
-        cat = IndecCatalog(q)
-        if path is not None and cat.is_complete:
-            os.makedirs(cache_dir, exist_ok=True)
-            save_catalog(cat, path)
-    _CATALOGS[q] = cat
+        cat = _CATALOGS[q] = IndecCatalog(q)
     return cat

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -460,6 +461,7 @@ def _add_stab_command(p: argparse.ArgumentParser, name: str) -> None:
     _add_common(p)
 
 
+@functools.cache  # argparse keeps no state between parses
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdlab", description="entropy, Serre dimensions, and stability conditions")
     parser.add_argument("--version", action="version", version="sdlab %s" % __version__)

@@ -47,6 +47,25 @@ def test_one_changed_output_is_caught(tmp_path, capsys):
     assert summary["differences"][0]["fields"] == ["stdout"]
     assert "quiver-changed" in summary["differences"][0]["b"]["stdout"]
 
+def test_several_argv_files_follow_the_cli_cold_argv_in_order(tmp_path, capsys):
+    tool = _tool()
+    files = []
+    for name, argvs in (("first.json", ARGVS), ("second.json", ARGVS[:1])):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(argvs), encoding="utf-8")
+    seen = []
+
+    def compare(a, b, argvs):  # records the argv and runs none
+        seen.extend(argvs)
+        return {"argv_count": len(argvs), "differences": []}
+
+    tool.cli_cold_argvs = lambda root: [["quiver", "--quiver", "A1"]]
+    tool.compare = compare
+    assert tool.main([str(ROOT), str(ROOT), *map(str, files)]) == 0
+    assert seen == [["quiver", "--quiver", "A1"], *ARGVS, ARGVS[0]]
+    assert json.loads(capsys.readouterr().out)["argv_count"] == 4
+    assert tool.main([str(ROOT)]) == 2
+
 
 def test_every_argv_file_is_a_nonempty_list_of_nonempty_string_lists():
     # the files are read by the tool only; none of their argv runs here

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlab import cli
 from sdlab.cli import main
 
 # quiver texts by kind -> the examples each command draws with that kind;
@@ -122,11 +121,7 @@ CASES = [(prefix, kind) for prefix in QUIVER_COMMANDS for kind in QUIVERS] + [
 
 @pytest.mark.parametrize("prefix, kind", CASES,
                          ids=[" ".join(prefix + ((kind,) if kind else ())) for prefix, kind in CASES])
-def test_every_cli_input_ends_in_exit_0_2_or_3(sigma_paths, prefix, kind, monkeypatch):
-    # building the parser reads no argv and is most of a run's cost, so
-    # the examples share one; argparse keeps no state between parses
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_every_cli_input_ends_in_exit_0_2_or_3(sigma_paths, prefix, kind):
     required, optional = _grammar(sigma_paths)[prefix]
     texts, examples = QUIVERS[kind] if kind else ((), 15)
     if kind:

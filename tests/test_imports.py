@@ -4,7 +4,8 @@ object.  Dunder names such as `__version__` are public.  And the pairwise
 Euler form is the catalog's: outside `catalog.py` and the `reps` oracle no
 module calls `euler_form` per pair, but reads the catalog's chi table.
 Likewise powers of the Serre functor step the catalog only in one walk.
-And every exported name has a reader outside its own definition."""
+And every exported name has a reader outside its own definition.  Only the
+CLI touches files: no other module calls `open` or imports `json` or `os`."""
 
 import ast
 from pathlib import Path
@@ -198,3 +199,49 @@ def test_the_check_sees_readers_outside_the_definition(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(sdlab, "__all__", ["Kept", "unread", "volume", "tits_form"])
     assert _exported_names_without_a_reader([path]) == ["Kept", "unread"]
+
+
+FILE_MODULES = ("json", "os")
+
+
+def _file_access(path: Path) -> list[str]:
+    """Each call of `open` by bare name and each import of `json` or `os`
+    (or a submodule of one) in `path`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            found.append("%s:%d calls open" % (path.name, node.lineno))
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        for name in names:
+            if name.split(".")[0] in FILE_MODULES:
+                found.append("%s:%d imports %s" % (path.name, node.lineno, name))
+    return found
+
+
+def test_only_the_cli_touches_files():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for hit in _file_access(path)]
+    assert found == []
+
+
+def test_the_check_sees_open_calls_and_file_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import json\n"
+        "import math, os.path\n"
+        "from os import replace\n"
+        "from . import jsonish\n"
+        "def f(p):\n"
+        "    with open(p) as fh:\n"
+        "        return fh.read(), p.open()\n"
+    )
+    assert _file_access(path) == [
+        "mod.py:1 imports json",
+        "mod.py:2 imports os.path",
+        "mod.py:3 imports os",
+        "mod.py:6 calls open",
+    ]

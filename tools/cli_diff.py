@@ -1,15 +1,16 @@
 """Byte comparison of `sdlab` command output between two checkouts.
 
-    python3 tools/cli_diff.py DIR_A DIR_B [ARGV_FILE]
+    python3 tools/cli_diff.py DIR_A DIR_B [ARGV_FILE ...]
 
 Each DIR is the root of a checkout; a copy without `.git` works.  Every
 argv runs as `python -m sdlab.cli ARGV` with that checkout's `src` on
 PYTHONPATH, in a fresh temporary working directory.  The argv are the
 `cli-cold` ops of DIR_A's `perfbench/ops.py`, with `{sample_seed}` set to
-`SAMPLE_SEEDS[0]`, followed by the argv lists in ARGV_FILE, a JSON list of
-lists of strings.  Prints one JSON summary of the argv whose exit code,
-stdout or stderr differ, and exits 1 on any difference.  Standard library
-only.
+`SAMPLE_SEEDS[0]`, followed by the argv lists of each ARGV_FILE in turn,
+each a JSON list of lists of strings; so one run covers several files and
+the `cli-cold` argv only once.  Prints one JSON summary of the argv whose
+exit code, stdout or stderr differ, and exits 1 on any difference.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -59,13 +60,13 @@ def compare(a: Path, b: Path, argvs: list) -> dict:
 
 
 def main(args: list) -> int:
-    if len(args) not in (2, 3):
+    if len(args) < 2:
         sys.stderr.write(__doc__)
         return 2
     a, b = Path(args[0]), Path(args[1])
     argvs = cli_cold_argvs(a)
-    if len(args) == 3:
-        with open(args[2], "r", encoding="utf-8") as fh:
+    for argv_file in args[2:]:
+        with open(argv_file, "r", encoding="utf-8") as fh:
             argvs += json.load(fh)
     summary = compare(a, b, argvs)
     print(json.dumps(summary, indent=1))
