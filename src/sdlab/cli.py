@@ -36,11 +36,6 @@ from .quivers import (
 
 
 def _sigma_from_args(ns: argparse.Namespace, q: Quiver) -> st.StabilityCondition:
-    sources = sum([ns.z is not None, ns.use_gepner, ns.use_sample, ns.sigma_path is not None])
-    if sources != 1:
-        raise ConfigError(
-            "choose exactly one stability source: --z, --gepner, --sample, or --sigma"
-        )
     if ns.seed is not None and not ns.use_sample:
         raise ConfigError("--seed is read only with --sample")
     if ns.z is not None:
@@ -120,8 +115,6 @@ def _cmd_entropy(ns: argparse.Namespace) -> dict:
             "n_max": ns.n_max,
             "table": {"header": ["n", "m", "dim"], "rows": rows},
         }
-    if ns.t is not None and ns.t_grid is not None:
-        raise ConfigError("give --t or --t-grid, not both")
     if ns.t_grid is not None:
         prof = ent.entropy_profile(q, ns.t_grid, ns.n_max, ns.budget)
         rows = [[t, ent.entropy_estimate(q, t, ns.n_max, ns.budget)] for t in ns.t_grid]
@@ -230,20 +223,15 @@ def _cmd_stab_fec(ns: argparse.Namespace) -> dict:
 def _cmd_stab_restrict(ns: argparse.Namespace) -> dict:
     q = parse_quiver(ns.quiver)
     sigma = _sigma_from_args(ns, q)
-    if not ns.subset:
-        raise ConfigError("restrict needs --subset, e.g. --subset 1,2")
     sub = st.restrict_to_subquiver(sigma, ns.subset)
     return _stab_report("stability-restriction", q, sub, subset=list(ns.subset),
                         subquiver=sub.quiver.text())
 
 
 def _cmd_stab_mass(ns: argparse.Namespace) -> dict:
-    if ns.t is not None and ns.t_grid is not None:
-        raise ConfigError("give --t or --t-grid, not both")
     q = parse_quiver(ns.quiver)
     sigma = _sigma_from_args(ns, q)
-    grid = ns.t_grid if ns.t_grid is not None else (ns.t if ns.t is not None else 0.0,)
-    mg = st.mass_growth(sigma, grid, ns.n_max)
+    mg = st.mass_growth(sigma, ns.t_grid, ns.n_max)
     g = standard_generator(q)
     rows = [
         [t, st.mass(sigma, t, g), rate]
@@ -261,12 +249,7 @@ def _cmd_stab_mass(ns: argparse.Namespace) -> dict:
 
 
 def _cmd_curve(ns: argparse.Namespace) -> dict:
-    if ns.big_h is not None and ns.h_grid is not None:
-        raise ConfigError("give --H or --h-grid, not both")
-    hs = ns.h_grid if ns.h_grid is not None else ((ns.big_h,) if ns.big_h is not None else None)
-    if not hs:
-        raise ConfigError("curve needs --H or --h-grid")
-    rows = [[h, lo, up] for h, lo, up in cv.curve_inf_scan(ns.genus, hs, ns.beta)]
+    rows = [[h, lo, up] for h, lo, up in cv.curve_inf_scan(ns.genus, ns.h_grid, ns.beta)]
     return {
         "kind": "curve-gldim-bounds",
         "genus": ns.genus,
@@ -329,8 +312,6 @@ def _fmt_csv(report: dict) -> str:
     else:
         writer.writerow(["key", "value"])
         for k in sorted(report):
-            if k == "table":
-                continue
             writer.writerow([k, _cell(report[k])])
     return buf.getvalue()
 
@@ -356,12 +337,7 @@ _FORMATS = {"json": _fmt_json, "csv": _fmt_csv, "md": _fmt_md}
 
 def run_report(ns: argparse.Namespace) -> tuple[str, int]:
     """Execute the parsed command; returns (artifact text, exit code)."""
-    handler = getattr(ns, "handler", None)
-    if handler is None:
-        if ns.command == "stab":
-            raise ConfigError("stab needs a subcommand: gldim, sample, gepner, fec, restrict, mass")
-        raise ConfigError("no command given; try --help")
-    report = handler(ns)
+    report = ns.handler(ns)
     # A failed verification battery is a domain failure, not a crash.
     code = 3 if report.get("all_passed") is False else 0
     return _FORMATS[ns.fmt](_normalize(report)), code
@@ -420,12 +396,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sigma_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z", type=_charges, default=None, help="charges as re,im;re,im;...")
-    p.add_argument("--gepner", dest="use_gepner", action="store_true",
-                   help="use the constructed Gepner point")
-    p.add_argument("--sample", dest="use_sample", action="store_true",
-                   help="sample a random stability condition")
-    p.add_argument("--sigma", dest="sigma_path", default=None, help="JSON file with a stability condition")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--z", type=_charges, default=None, help="charges as re,im;re,im;...")
+    source.add_argument("--gepner", dest="use_gepner", action="store_true",
+                        help="use the constructed Gepner point")
+    source.add_argument("--sample", dest="use_sample", action="store_true",
+                        help="sample a random stability condition")
+    source.add_argument("--sigma", dest="sigma_path", default=None,
+                        help="JSON file with a stability condition")
 
 
 # stab subcommand -> (handler, whether it reads a stability source)
@@ -440,7 +418,7 @@ _STAB_COMMANDS = {
 
 
 def _add_stab_command(p: argparse.ArgumentParser, name: str) -> None:
-    """The options of `stab <name>`; the top-level `gepner` alias shares them."""
+    """The options of `stab <name>`."""
     handler, needs_sigma = _STAB_COMMANDS[name]
     p.set_defaults(handler=handler)
     p.add_argument("--quiver", required=True)
@@ -452,8 +430,7 @@ def _add_stab_command(p: argparse.ArgumentParser, name: str) -> None:
     if name == "restrict":
         p.add_argument("--subset", type=_ints, required=True)
     if name == "mass":
-        p.add_argument("--t", type=_finite, default=None)
-        p.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
+        p.add_argument("--t-grid", dest="t_grid", type=_floats, default=(0.0,))
         p.add_argument("--nmax", dest="n_max", type=int, default=30)
     if needs_sigma or name == "sample":  # read by `sample` and the --sample source
         p.add_argument("--seed", type=int, default=None if needs_sigma else 0,
@@ -465,7 +442,7 @@ def _add_stab_command(p: argparse.ArgumentParser, name: str) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdlab", description="entropy, Serre dimensions, and stability conditions")
     parser.add_argument("--version", action="version", version="sdlab %s" % __version__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     p = sub.add_parser("quiver", help="inspect a quiver")
     p.set_defaults(handler=_cmd_quiver)
@@ -475,9 +452,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("entropy", help="categorical entropy estimate")
     p.set_defaults(handler=_cmd_entropy)
     p.add_argument("--quiver", required=True)
-    p.add_argument("--t", type=_finite, default=None)
-    p.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
-    p.add_argument("--series", action="store_true", help="emit the n,m,dim table")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--t", type=_finite, default=None)
+    grid.add_argument("--t-grid", dest="t_grid", type=_floats, default=None)
+    grid.add_argument("--series", action="store_true", help="emit the n,m,dim table")
     p.add_argument("--nmax", dest="n_max", type=int, default=30)
     p.add_argument("--budget", type=int, default=ent.DEFAULT_BUDGET)
     _add_common(p)
@@ -497,17 +475,15 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     stab = sub.add_parser("stab", help="stability condition operations")
-    stab_sub = stab.add_subparsers(dest="stab_command", parser_class=_Parser)
+    stab_sub = stab.add_subparsers(dest="stab_command", parser_class=_Parser, required=True)
     for name in _STAB_COMMANDS:
         _add_stab_command(stab_sub.add_parser(name), name)
-    _add_stab_command(sub.add_parser("gepner", help="alias for stab gepner"), "gepner")
 
     p = sub.add_parser("curve", help="curve global dimension bounds")
     p.set_defaults(handler=_cmd_curve)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--beta", type=_finite, default=0.0)
-    p.add_argument("--H", dest="big_h", type=_finite, default=None)
-    p.add_argument("--h-grid", dest="h_grid", type=_floats, default=None)
+    p.add_argument("--h-grid", dest="h_grid", type=_floats, required=True)
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the cross-check battery")

@@ -27,7 +27,7 @@ def test_sdim_reports_exact_fraction(capsys):
 
 
 def test_gepner_alias_with_check(capsys):
-    code, out, _ = _run(capsys, ["gepner", "--quiver", "A2", "--check"])
+    code, out, _ = _run(capsys, ["stab", "gepner", "--quiver", "A2", "--check"])
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] is True
@@ -80,15 +80,18 @@ def test_stab_gldim_with_explicit_charges(capsys):
 def test_stab_needs_exactly_one_sigma_source(capsys):
     code, _, err = _run(capsys, ["stab", "gldim", "--quiver", "A2"])
     assert code == 2
+    assert json.loads(err)["error"]["message"] == (
+        "one of the arguments --z --gepner --sample --sigma is required")
     code, _, err = _run(
         capsys, ["stab", "gldim", "--quiver", "A2", "--gepner", "--sample"]
     )
     assert code == 2
-    assert "stability source" in json.loads(err)["error"]["message"]
+    assert json.loads(err)["error"]["message"] == (
+        "argument --sample: not allowed with argument --gepner")
 
 
 def test_stab_sigma_file_source(capsys, tmp_path):
-    code, out, _ = _run(capsys, ["gepner", "--quiver", "A3"])
+    code, out, _ = _run(capsys, ["stab", "gepner", "--quiver", "A3"])
     sigma_path = tmp_path / "sigma.json"
     sigma_path.write_text(json.dumps(json.loads(out)["sigma"]))
     code, out, _ = _run(
@@ -189,7 +192,7 @@ def test_nonfinite_charge_exits_three(capsys):
     assert code == 3 and out == ""
     assert _error_type(err) == "NotAStabilityFunction"
     # finite simple charges whose sum, the charge of dim (1, 1), overflows
-    for argv in (["stab", "gldim"], ["stab", "mass", "--t", "1"]):
+    for argv in (["stab", "gldim"], ["stab", "mass", "--t-grid", "1"]):
         code, out, err = _run(capsys, argv + ["--quiver", "A2", "--z=0,1e308;0,1e308"])
         assert code == 3 and out == ""
         assert _error_type(err) == "NotAStabilityFunction"
@@ -234,12 +237,12 @@ def test_bad_sigma_file_exits_with_envelope(capsys, tmp_path, text, code, error)
     [
         (["stab", "mass", "--quiver", "A2", "--gepner", "--nmax", "0"], 2),
         (["stab", "mass", "--quiver", "A2", "--gepner", "--nmax", "-3"], 2),
-        (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "1e308"], 2),
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--t-grid", "1e308"], 2),
         (["entropy", "--quiver", "A2", "--t", "1e308"], 2),
         (["entropy", "--quiver", "A2", "--t-grid=1e308,0,1"], 2),
         # h_t = t exactly off Dynkin, but the fitted slope overflows
         (["entropy", "--quiver", "K2", "--t-grid=1e308,-1e308,0"], 2),
-        (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "2000"], 0),
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--t-grid", "2000"], 0),
     ],
     ids=["mass-nmax-0", "mass-nmax-negative", "mass-huge-t", "entropy-huge-t",
          "entropy-huge-t-grid", "entropy-overflowing-profile", "mass-overflowing-exp"],
@@ -323,12 +326,13 @@ def test_unwritable_out_exits_two_with_empty_stdout(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["stab", "mass", "--quiver", "A2", "--gepner", "--t", "5", "--t-grid=0,1"],
-         "give --t or --t-grid, not both"),
+        (["entropy", "--quiver", "A2", "--t", "5", "--t-grid=0,1"],
+         "argument --t-grid: not allowed with argument --t"),
+        # `curve` has no single-value option: --h-grid of one value replaces --H
         (["curve", "--genus", "2", "--H", "7", "--h-grid", "1"],
-         "give --H or --h-grid, not both"),
+         "unrecognized arguments: --H 7"),
     ],
-    ids=["mass", "curve"],
+    ids=["entropy", "curve"],
 )
 def test_single_value_and_grid_conflict_exits_two(capsys, argv, message):
     code, out, err = _run(capsys, argv)
@@ -344,8 +348,8 @@ def test_single_value_and_grid_conflict_exits_two(capsys, argv, message):
         ["sdim", "--quiver", "A2"],
         ["volume", "--quiver", "A2", "--lam", "1"],
         ["stab", "gepner", "--quiver", "A2"],
-        ["gepner", "--quiver", "A2"],
-        ["curve", "--genus", "2", "--H", "1"],
+        ["stab", "gepner", "--quiver", "A2", "--check"],
+        ["curve", "--genus", "2", "--h-grid", "1"],
         ["stab", "gldim", "--quiver", "A2", "--z=1,1;-1,1"],
         ["stab", "fec", "--quiver", "A2", "--gepner"],
         ["stab", "restrict", "--quiver", "A3", "--gepner", "--subset", "1,2"],
@@ -397,7 +401,7 @@ def test_nonpositive_count_exits_two(capsys, argv, message):
          "volume leaves the float range; use a smaller lam"),
         (["stab", "gepner", "--quiver", "D4", "--check", "--mu=1e308"],
          "rotation by mu leaves the float range; use a smaller |mu|"),
-        (["gepner", "--quiver", "A2", "--check", "--mu=-1e308"],
+        (["stab", "gepner", "--quiver", "A2", "--check", "--mu=-1e308"],
          "rotation by mu leaves the float range; use a smaller |mu|"),
     ],
     ids=["volume-K3", "volume-E7", "stab-gepner", "gepner"],
@@ -409,9 +413,48 @@ def test_results_past_the_float_range_exit_two(capsys, argv, message):
 
 
 def test_curve_zero_h_is_not_a_missing_h(capsys):
-    code, out, err = _run(capsys, ["curve", "--genus", "2", "--H", "0"])
+    code, out, err = _run(capsys, ["curve", "--genus", "2", "--h-grid", "0"])
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["message"] == "H must be positive"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["entropy", "--quiver", "A2", "--t", "x"], "bad number 'x'"),
+        (["stab", "restrict", "--quiver", "A3", "--gepner", "--subset", "1,x"],
+         "bad integer list '1,x'"),
+        (["stab", "gldim", "--quiver", "A2", "--z=1,1,1"], "charge '1,1,1' is not re,im"),
+        (["stab", "gldim", "--quiver", "A2", "--z=a,1;1,1"], "charge 'a,1' is not numeric"),
+        (["stab", "gldim", "--quiver", "A2", "--sigma", "SIGMA"],
+         "--sigma file is malformed: 'int' object is not iterable"),
+        ([], "the following arguments are required: command"),
+        (["stab"], "the following arguments are required: stab_command"),
+        # the deleted top-level alias of `stab gepner`
+        (["gepner", "--quiver", "E7", "--check"], "argument command: invalid choice: 'gepner'"),
+        (["curve", "--genus", "2", "--H", "7"], "the following arguments are required: --h-grid"),
+        (["entropy", "--quiver", "A2", "--series", "--t", "1", "--nmax", "2"],
+         "argument --t: not allowed with argument --series"),
+        (["stab", "fec", "--quiver", "A2"],
+         "one of the arguments --z --gepner --sample --sigma is required"),
+        (["stab", "mass", "--quiver", "A2", "--gepner", "--sigma", "SIGMA"],
+         "argument --sigma: not allowed with argument --gepner"),
+    ],
+    ids=["bad-number", "bad-integer-list", "charge-not-re-im", "charge-not-numeric",
+         "sigma-malformed", "no-command", "no-stab-command", "gepner-alias", "curve-H",
+         "series-and-t", "no-sigma-source", "two-sigma-sources"],
+)
+def test_parse_errors_exit_two_with_one_envelope(capsys, tmp_path, argv, message):
+    sigma_path = tmp_path / "sigma.json"
+    sigma_path.write_text('{"quiver": "A2", "z_simples": 5}')
+    argv = [str(sigma_path) if a == "SIGMA" else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ConfigError"
+    # argparse words its list of choices differently across Python versions
+    assert payload["error"]["message"].startswith(message)
 
 
 def _subprocess_env():
@@ -545,8 +588,7 @@ EVERY_COMMAND_ARGV = [
     ["stab", "fec", "--quiver", "A2", "--gepner"],
     ["stab", "restrict", "--quiver", "A3", "--gepner", "--subset", "1,2"],
     ["stab", "mass", "--quiver", "A2", "--gepner"],
-    ["gepner", "--quiver", "A3"],
-    ["curve", "--genus", "2", "--H", "1"],
+    ["curve", "--genus", "2", "--h-grid", "1"],
     ["verify", "--quivers", "A2", "--samples", "1"],
 ]
 

@@ -68,12 +68,12 @@ def _stab_command(name: str, sigma_paths) -> tuple[dict, dict]:
         required["--subset"] = st.lists(st.sampled_from(("0", "1", "-1", "2", "3", "6")),
                                         max_size=3).map(",".join)
     if name == "mass":
-        optional.update({"--t": numbers, "--t-grid": number_lists, "--nmax": st.sampled_from(N_MAX)})
+        optional.update({"--t-grid": number_lists, "--nmax": st.sampled_from(N_MAX)})
     return required, optional
 
 
 # the commands that take --quiver; it is given in every case of theirs
-QUIVER_COMMANDS = [("quiver",), ("entropy",), ("sdim",), ("volume",), ("gepner",),
+QUIVER_COMMANDS = [("quiver",), ("entropy",), ("sdim",), ("volume",),
                    *(("stab", name) for name in ("gldim", "sample", "gepner", "fec", "restrict", "mass"))]
 
 
@@ -88,14 +88,13 @@ def _grammar(sigma_paths) -> dict:
         ("sdim",): ({}, estimator),
         ("volume",): ({"--lam": number_lists},
                       {"--nmax": st.sampled_from(N_MAX), "--format": formats}),
-        ("curve",): ({"--genus": ints},
-                     {"--beta": numbers, "--H": numbers, "--h-grid": number_lists, "--format": formats}),
+        ("curve",): ({"--genus": ints, "--h-grid": number_lists},
+                     {"--beta": numbers, "--format": formats}),
         ("verify",): ({"--samples": st.sampled_from(("0", "1", "2", "-1"))},  # the default is 50
                       {"--quivers": st.lists(st.sampled_from(("A2", "A3", "K2", "Z9", "")),
                                              max_size=2).map(",".join),
                        "--seed": ints, "--format": formats}),
         ("stab",): ({}, {}),
-        ("gepner",): _stab_command("gepner", sigma_paths),
         ("bogus",): ({}, {}),
     }
     for name in ("gldim", "sample", "gepner", "fec", "restrict", "mass"):
