@@ -5,19 +5,20 @@ On a Dynkin quiver an indecomposable is fixed by its dimension vector
 Coxeter matrix Phi: S P_i = I_i and S M = tau M[1] otherwise (Happel 1988).
 So entries hold dimension vectors only.  The projectives and injectives are
 the rows and columns of the path-count matrix P = E^{-1}, and each Serre
-step is read off the sign of the integer vector A^{+-1} dim M.  Off Dynkin,
-on a connected quiver, a power S^p is read the same way off A^p dim M in one
-matrix power (`serre_power`): there an orbit crosses from the projectives to
-the injectives at most once.  Hom and Ext come from one integer table of
-the Euler form, chi = D E D^T over the dimension vectors D, so nothing here
-calls into the exact representations of `reps`.  `catalog_for` keys its
-catalogs by the quiver value and keeps them in memory, never on disk, for
-the life of the process; with a Dynkin catalog goes the projective
-generator's Serre period (`generator_periods`, at most h levels per sign),
-which `derived` walks on first use and every later series, orbit and power
-of G reads.  The Dynkin knitting is the package's one
-source of positive roots (`positive_roots` reads it), certified by the Tits
-form and the count nh/2; the reflection closure is only a test oracle.
+step is read off the sign of the integer vector A^{+-1} dim M.  A power
+S^n is read per entry (`serre_power`).  On a Dynkin component
+S^h = [h - 2] on every indecomposable (Happel 1988), so the entry's orbit
+returns, S^p M = M[k] with p <= h; it is walked once and S^n M read off it
+for any n of either sign.  On any other component an orbit crosses from the
+projectives to the injectives at most once, so S^n M is read off A^n dim M
+in one matrix power.  Hom and Ext come from one integer table of the Euler
+form, chi = D E D^T over the dimension vectors D, so nothing here calls
+into the exact representations of `reps`.  `catalog_for` keys its catalogs
+by the quiver value and keeps them in memory, never on disk, for the life
+of the process, with every orbit walked so far.  The Dynkin knitting is the
+package's one source of positive roots (`positive_roots` reads it),
+certified by the Tits form and the count nh/2; the reflection closure is
+only a test oracle.
 """
 
 from __future__ import annotations
@@ -63,20 +64,23 @@ class IndecCatalog:
     operations that need the complete list, or Hom out of a virtual entry,
     raise CatalogIncomplete there.  One memoized rule serves both kinds of
     quiver and both directions: `serre_step` and `serre_inv_step` apply
-    `serre_k` = A or `serre_k_inv` = A^{-1} to the dimension vector.  Off
-    Dynkin, on a connected quiver (`single_crossing`), `serre_power` applies
-    A^p at once and registers only the image, so virtual ids follow the
-    order of the calls; a disconnected quiver can have Dynkin components,
-    whose orbits cross P -> I again and again, so it is stepped.  A
-    catalog is built from the quiver alone and lives in memory only.
+    `serre_k` = A or `serre_k_inv` = A^{-1} to the dimension vector.
+    `serre_power` reads an entry on a Dynkin component off its orbit, walked
+    by `serre_step` to the first return; elsewhere it applies A^p at once
+    and registers only the image, so virtual ids follow the order of the
+    calls.  A catalog is built from the quiver alone and lives in memory
+    only.
     """
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        connected = quiver.is_connected()
-        self.dynkin = classify_dynkin(quiver) if connected else None
+        # (vertices, full subquiver) per connected component
+        self.components = [(vs, quiver.full_subquiver(vs)) for vs in quiver.components()]
+        # the 0-based vertices of the Dynkin components, where every orbit returns
+        self._returning = {v - 1 for vs, sub in self.components if classify_dynkin(sub) for v in vs}
+        self.dynkin = classify_dynkin(quiver) if len(self.components) == 1 else None
         # where every Serre orbit crosses P -> I at most once: see serre_power
-        self.single_crossing = connected and self.dynkin is None
+        self.single_crossing = len(self.components) == 1 and not self._returning
         ed = coxeter_matrix(quiver)
         paths = path_counts(quiver)
         proj = [tuple(r) for r in paths]
@@ -91,10 +95,8 @@ class IndecCatalog:
         self.inj_ids: list[int] = []
         self._steps: dict[tuple[int, int], tuple[int, int]] = {}
         self._chi_rows: list[tuple[int, ...]] | None = None
-        # sign -> (the summands of S^(sign j) G for j < p, k) up to G's first
-        # return S^(sign p) G = G[k]; `derived.serre_orbit` walks it on first
-        # use, on a Dynkin catalog only, so it holds at most h levels per sign
-        self.generator_periods: dict[int, tuple[list, int]] = {}
+        # id -> (S^j M as (id, shift) for j < p, k) up to S^p M = M[k]
+        self._orbits: dict[int, tuple[list[tuple[int, int]], int]] = {}
         for dim, proj_vertex, inj_vertex in self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
         self._link()
@@ -192,28 +194,43 @@ class IndecCatalog:
         return self._steps.get((ident, -1)) or self._step(ident, -1)
 
     def serre_power(self, idents, power: int) -> list[tuple[int, int]]:
-        """S^power M = M'[sigma] for each id, off Dynkin on a connected
-        quiver: one matrix A^power (A^{-1} for negative powers) by repeated
-        squaring, and only the images registered.  An orbit there crosses
-        P -> I at most once, as the preprojective and preinjective
-        components are disjoint, so all steps but at most one shift by one:
-        sigma is power, or power moved one toward 0, whichever parity
-        matches the sign of v = A^power dim M, and M' = |v|."""
-        base = self.serre_k if power >= 0 else self.serre_k_inv
-        n = self.quiver.n
-        # squaring: ~9x faster on K2, A~2, D~4 at p <= 240 than stepping each
-        # summand's vector p times
-        a = [[int(i == j) for j in range(n)] for i in range(n)]
-        for bit in bin(abs(power))[2:]:
-            a = int_mat_mul(a, a)
-            if bit == "1":
-                a = int_mat_mul(a, base)
+        """S^power M = M'[sigma] for each id, by the inverse for negative
+        powers.  On a Dynkin component the entry's orbit returns,
+        S^p M = M[k] with p <= h: it is walked by `serre_step` on first use
+        and memoized, and S^power M is its item power mod p moved by
+        (power // p) k.  Elsewhere an orbit crosses P -> I at most once, as
+        the preprojective and preinjective components are disjoint: one
+        matrix A^power (A^{-1} for negative powers) by repeated squaring,
+        and only the images registered.  All steps but at most one shift by
+        one, so sigma is power, or power moved one toward 0, whichever
+        parity matches the sign of v = A^power dim M, and M' = |v|."""
+        if len(self._returning) < self.quiver.n:  # a component off Dynkin
+            # squaring: ~9x faster on K2, A~2, D~4 at p <= 240 than stepping
+            # each summand's vector p times
+            base = self.serre_k if power >= 0 else self.serre_k_inv
+            a = [[int(i == j) for j in range(self.quiver.n)] for i in range(self.quiver.n)]
+            for bit in bin(abs(power))[2:]:
+                a = int_mat_mul(a, a)
+                if bit == "1":
+                    a = int_mat_mul(a, base)
         toward_zero = (power > 0) - (power < 0)
         out = []
         for ident in idents:
             dim = self.entries[ident].dim_vector
-            target, negative = self._image(dim, int_mat_vec(a, dim))
-            out.append((target, power if power % 2 == negative else power - toward_zero))
+            if ident in self._orbits or any(dim[v] for v in self._returning):
+                if ident not in self._orbits:
+                    walk, j, s = [], ident, 0
+                    while not walk or j != ident:
+                        walk.append((j, s))
+                        j, d = self.serre_step(j)
+                        s += d
+                    self._orbits[ident] = walk, s
+                walk, k = self._orbits[ident]
+                q, r = divmod(power, len(walk))
+                out.append((walk[r][0], walk[r][1] + q * k))
+            else:
+                target, negative = self._image(dim, int_mat_vec(a, dim))
+                out.append((target, power if power % 2 == negative else power - toward_zero))
         return out
 
     # -- the pairwise Euler form

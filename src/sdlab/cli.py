@@ -153,8 +153,6 @@ def _cmd_sdim(ns: argparse.Namespace) -> dict:
 
 def _cmd_volume(ns: argparse.Namespace) -> dict:
     q = parse_quiver(ns.quiver)
-    if not ns.lam:
-        raise ConfigError("volume needs --lam")
     rows = [[lam, ent.volume(q, lam, ns.n_max)] for lam in ns.lam]
     return {
         "kind": "volume",
@@ -362,7 +360,10 @@ def _finite(text: str) -> float:
 
 
 def _floats(text: str) -> tuple:
-    return tuple(_finite(x) for x in text.split(",") if x.strip() != "")
+    out = tuple(_finite(x) for x in text.split(",") if x.strip() != "")
+    if not out:
+        raise argparse.ArgumentTypeError("expected at least one number, got %r" % text)
+    return out
 
 
 def _ints(text: str) -> tuple:
@@ -494,6 +495,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (64-bit)")
     _add_common(p)
 
+    # argparse's messages name the metavar, where it would name the dest
+    for action in (sub, stab_sub):
+        action.metavar = "{%s}" % ",".join(action.choices)
     return parser
 
 

@@ -3,19 +3,19 @@
 The entropy series tabulates dim Hom(G, S^n G[m]) for the projective
 generator G.  Since Hom(P_i, N) = dim N at vertex i and Ext^1(P_i, -) = 0,
 level n is the total dimension of each summand N[b] of S^n G, added at
-m = -b; no pairwise Euler form is read.  On a Dynkin quiver G's Serre walk
-returns, S^p G = G[k] with p dividing h, and the levels are read off that
-one period, which the catalog keeps for the life of the process
-(`derived.serre_orbit`): only the first series of a quiver steps, and
-`entropy_series.cache_clear()` does not free it.  A series keeps levels
-0..p-1 and k only (levels 0..n_max when n_max < p), reading level n as
-level n mod p with every m moved by -(n // p) k.  A disconnected quiver's
-levels are read off the walk one at a time, bounded by n_max, and kept the
-same way if it returns (A2 + A2).  Off Dynkin, on a connected quiver,
-S P_i = I_i and then S = tau[1] along the preinjectives, so S^n G for
-n >= 1 sits in the one shift n - 1 and level n is the single integer
-|sum A^n [G]| at m = 1 - n, stepped by the Cayley-Hamilton recurrence of
-the Coxeter polynomial.
+m = -b; no pairwise Euler form is read.  On a connected Dynkin quiver
+S^h G = G[h - 2], so levels 0..h-1 (read off `IndecCatalog.serre_power`)
+give every level: level n is level n mod h with every m moved by
+-(n // h)(h - 2).  Those h levels are kept once per quiver for the life of
+the process, so only a quiver's first series walks the catalog, and
+`entropy_series.cache_clear()` does not free them.  Off Dynkin, on a
+connected quiver, S P_i = I_i and then S = tau[1] along the preinjectives,
+so S^n G for n >= 1 sits in the one shift n - 1 and level n is the single
+integer |sum A^n [G]| at m = 1 - n, stepped by the Cayley-Hamilton
+recurrence of the Coxeter polynomial.  D^b(k(Q1 + Q2)) = D^b(kQ1) +
+D^b(kQ2), so a disconnected quiver's levels are the key-wise sums of its
+components' levels, read level by level; its own catalog is never
+stepped.
 
 Entropy at parameter t is the growth rate of f_n(t) = sum_m dim * exp(-m t).
 Off Dynkin, on a connected quiver, f_n(t) = |sum A^n [G]| exp((n - 1) t),
@@ -29,13 +29,14 @@ once per sample range.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import catalog_for
-from .derived import Period, serre_orbit, serre_walk, standard_generator
+from .derived import Period
 from .errors import BudgetExceeded, ConfigError, EmptyGrid, require_finite
 from .quivers import (
     Quiver,
@@ -79,7 +80,15 @@ class EntropySeries(namedtuple("EntropySeries", "quiver n_max levels m_minus m_p
         return log_sum_exp(math.log(d) - (m - move) * t for m, d in lev.items())
 
 
-def _kclass_levels(cat, n_max: int):
+def _summed(items) -> dict[int, int]:
+    """The dims of the (m, dim) items added per m, keys in first-seen order."""
+    out: dict[int, int] = {}
+    for m, d in items:
+        out[m] = out.get(m, 0) + d
+    return out
+
+
+def _kclass_levels(cat):
     """Off Dynkin, on a connected quiver: S P_i = I_i, and S = tau[1] along
     the preinjectives, which never reach a projective.  So for n >= 1,
     S^n G = sum_i tau^(n-1) I_i [n-1] sits in one shift, its K-class
@@ -87,13 +96,13 @@ def _kclass_levels(cat, n_max: int):
     {1 - n: |s_n|} for s_n = sum A^n [G]; no catalog entry is made.  By
     Cayley-Hamilton s_(n+d) = -sum_i a_i s_(n+i) for the characteristic
     polynomial sum a_i x^i of A = -Phi, read off Phi's as
-    a_i = (-1)^(d-i) c_i; d - 1 matrix-vector steps seed it."""
+    a_i = (-1)^(d-i) c_i; d - 1 matrix-vector steps seed it.  Endless."""
     w = tuple(map(sum, zip(*(cat.entries[i].dim_vector for i in cat.proj_ids))))
     c = coxeter_polynomial(cat.quiver)
     d = len(c) - 1
     a = [-x if (d - i) % 2 else x for i, x in enumerate(c[:d])]
     last = []  # s_(n-d)..s_(n-1)
-    for n in range(n_max + 1):
+    for n in itertools.count():
         if n < d:
             s = sum(w)
             if n + 1 < d:
@@ -105,30 +114,27 @@ def _kclass_levels(cat, n_max: int):
         yield {1 - n if n else 0: abs(s)}  # G itself sits in shift 0
 
 
-def _walked_levels(cat, n_max: int):
-    """(level, None) for each level of G's Serre orbit up to n_max, then
-    (None, k) at its first return S^p G = G[k]; a level adds each summand
-    N[b]'s total dimension at m = -b, in walk order.  The order decides no
-    number: a connected quiver's levels have at most two keys, and a two-term
-    log-sum-exp is one float in either order.  On a Dynkin quiver the levels
-    are G's stored period (`serre_orbit`), so only a quiver's first series
-    steps; a disconnected quiver's are read off `serre_walk` one level at a
-    time, so that the budget stops the walk."""
-    g = standard_generator(cat.quiver)
+@functools.cache
+def _dynkin_levels(q: Quiver) -> list[dict[int, int]]:
+    """G's levels 0..h-1 on a connected Dynkin quiver: S^n G is S^n P_i =
+    N[b] (`IndecCatalog.serre_power`) over the projectives P_i, and each
+    N[b] adds its total dimension at m = -b; S^h G = G[h - 2] gives every
+    later level."""
+    cat = catalog_for(q)
+    return [_summed((-b, sum(cat.entries[i].dim_vector))
+                    for i, b in cat.serre_power(cat.proj_ids, n))
+            for n in range(cat.dynkin.coxeter_number)]
 
-    def level(pairs) -> dict[int, int]:
-        lev: dict[int, int] = {}
-        for ident, b in pairs:
-            lev[-b] = lev.get(-b, 0) + sum(cat.entries[ident].dim_vector)
-        return lev
 
-    if cat.is_complete:
-        orbit = serre_orbit(g, n_max)
-        yield from ((level(pairs), None) for pairs in orbit.period)
-        yield None, orbit.k
-        return
-    for pairs, k in serre_walk(g, n_max):
-        yield (level(pairs), None) if k is None else (None, k)
+def _connected_levels(q: Quiver):
+    """(G's levels n = 0, 1, ... on the connected q, endless; h on a Dynkin
+    quiver, else None)."""
+    cat = catalog_for(q)
+    if cat.single_crossing:
+        return _kclass_levels(cat), None
+    h = cat.dynkin.coxeter_number
+    levels = _dynkin_levels(q)
+    return (_moved_level(levels[n % h], n // h * (h - 2)) for n in itertools.count()), h
 
 
 def _check_sizes(n_max: int, budget: int) -> None:
@@ -141,16 +147,14 @@ def _check_sizes(n_max: int, budget: int) -> None:
 @functools.lru_cache(maxsize=64)
 def _series(q: Quiver, n_max: int, budget: int) -> EntropySeries:
     _check_sizes(n_max, budget)
-    cat = catalog_for(q)
-    if cat.single_crossing:
-        walk = ((lev, None) for lev in _kclass_levels(cat, n_max))
-    else:
-        walk = _walked_levels(cat, n_max)
-    period, k = [], 0
-    for lev, ret in walk:
-        if ret is not None:
-            k = ret
-            break
+    walks, hs = zip(*(_connected_levels(sub) for _, sub in catalog_for(q).components))
+    # Dynkin components of one Coxeter number h share S^h G = G[h - 2]
+    h = hs[0] if len(set(hs)) == 1 else None
+    p, k = (h, h - 2) if h else (n_max + 1, 0)
+    levels = walks[0] if len(walks) == 1 else (
+        _summed(itertools.chain.from_iterable(lev.items() for lev in levs)) for levs in zip(*walks))
+    period = []
+    for lev in itertools.islice(levels, min(n_max + 1, p)):
         total = sum(lev.values())
         if total > budget:
             raise BudgetExceeded(
@@ -164,15 +168,15 @@ def _series(q: Quiver, n_max: int, budget: int) -> EntropySeries:
 
 def entropy_series(q: Quiver, n_max: int, budget: int = DEFAULT_BUDGET) -> EntropySeries:
     """Levels 0..n_max, cached once per (q, n_max, budget) whether or not the
-    budget is passed.  When G's walk returns, S^p G = G[k] with p <= n_max,
-    only levels 0..p-1 and k are kept, and `levels`, `m_minus` and `m_plus`
-    are read-only sequences that read level n as level n % p with every key
-    moved by -(n // p) k.  Off Dynkin on a connected quiver the levels are
-    one integer recurrence (`_kclass_levels`).  On a Dynkin quiver orbits
-    cross from the projectives to the injectives again and again, so the
-    levels are read off G's period, which the catalog stores once per
-    quiver; a disconnected quiver's are read off `serre_walk` level by
-    level, as a component may be Dynkin (and A2 + A2 has a period)."""
+    budget is passed.  When every component is Dynkin with one Coxeter
+    number h, S^h G = G[h - 2] and only levels 0..h-1 (0..n_max when
+    n_max < h) and k = h - 2 are kept; `levels`, `m_minus` and `m_plus` are
+    read-only sequences that read level n as level n % h with every key
+    moved by -(n // h) k.  Off Dynkin on a connected quiver the levels are
+    one integer recurrence (`_kclass_levels`), and on a connected Dynkin
+    quiver they are read off G's h levels, kept once per quiver.  A
+    disconnected quiver's levels are its components' summed key-wise, level
+    by level, so that the budget stops the first level past it."""
     return _series(q, n_max, budget)
 
 

@@ -75,6 +75,22 @@ class Quiver(namedtuple("Quiver", "n arrows")):
     def is_connected(self) -> bool:
         return None not in _depths(self.n, self.arrows)[1:]
 
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices of each connected component, sorted, the components
+        in the order of their least vertex."""
+        out = []
+        for root in range(1, self.n + 1):
+            if all(root not in vs for vs in out):
+                depth = _depths(self.n, self.arrows, root)
+                out.append(tuple(v for v in range(1, self.n + 1) if depth[v] is not None))
+        return tuple(out)
+
+    def full_subquiver(self, vs) -> "Quiver":
+        """The full subquiver on the vertices `vs`, renumbered 1.. in their order."""
+        renum = {v: i for i, v in enumerate(vs, start=1)}
+        return Quiver(len(renum), tuple(
+            (renum[s], renum[t]) for s, t in self.arrows if s in renum and t in renum))
+
     def text(self) -> str:
         """Canonical description in the accepted grammar."""
         arrows = ",".join("%d->%d" % a for a in self.arrows)
@@ -99,16 +115,16 @@ class DynkinClass(namedtuple("DynkinClass", "series rank coxeter_number fcy_pair
     fcy_pair: tuple[int, int]  # (h, h-2)
 
 
-def _depths(n: int, edges) -> list[int | None]:
-    """Depth from vertex 1 of each vertex 1..n (index 0 unused) along the
+def _depths(n: int, edges, root: int = 1) -> list[int | None]:
+    """Depth from `root` of each vertex 1..n (index 0 unused) along the
     edges taken as undirected, None where unreached."""
     adj = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     depth = [None] * (n + 1)
-    depth[1] = 0
-    stack = [1]
+    depth[root] = 0
+    stack = [root]
     while stack:
         u = stack.pop()
         for w in adj[u]:

@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 
 from .catalog import catalog_for
-from .derived import DerivedObject, serre_orbit, standard_generator
+from .derived import DerivedObject, serre_apply, standard_generator
 from .entropy import growth_rate, log_sum_exp, tail_window
 from .errors import (
     ConfigError,
@@ -182,9 +182,9 @@ class MassGrowth(namedtuple("MassGrowth", "t_grid rates phase_upper phase_lower"
 
 
 def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowth:
-    """Growth of log mass(S^n G) per t and the windowed phase bounds.  Every
-    level of G's orbit shifts a stored one, so only the stored levels (for
-    semistability), the fit's samples and the tail window are read."""
+    """Growth of log mass(S^n G) per t and the windowed phase bounds.  As
+    S^h G = G[h - 2], every level shifts one of levels 0..h-1, so only those
+    (for semistability), the fit's samples and the tail window are read."""
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     ts = [float(t) for t in t_grid]
@@ -194,14 +194,13 @@ def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowt
         require_finite("t", t)
     q = sigma.quiver
     by_ident = {r.ident: r for r in sigma.records}
-    orbit = serre_orbit(standard_generator(q), n_max)
+    g = standard_generator(q)
 
     @functools.cache
     def terms(n: int) -> list:  # (|Z|, phase) per summand of S^n G
-        pairs, move = orbit.locate(n)
-        return [_placed(by_ident, ident, k + move, n) for ident, k in pairs]
+        return [_placed(by_ident, ident, k, n) for ident, k in serre_apply(g, n).summands]
 
-    for n in range(len(orbit.period)):  # every later level shifts one of these
+    for n in range(min(n_max + 1, catalog_for(q).dynkin.coxeter_number)):
         terms(n)
     rates = [
         growth_rate(q, n_max, lambda n: log_sum_exp(math.log(a) + p * t for a, p in terms(n)))
@@ -428,11 +427,7 @@ def restrict_to_subquiver(sigma: StabilityCondition, subset) -> StabilityConditi
         raise GldimTooLarge(
             "restriction requires global dimension at most 1, found %.9f" % g
         )
-    renum = {v: i + 1 for i, v in enumerate(vs)}
-    arrows = tuple(
-        (renum[s], renum[t]) for s, t in q.arrows if s in renum and t in renum
-    )
-    sub_q = Quiver(len(vs), arrows)
+    sub_q = q.full_subquiver(vs)
     if not sub_q.is_connected():
         raise NotConnectedSubset("induced subquiver on %s is disconnected" % (vs,))
     by_dim = catalog_for(sub_q).by_dim

@@ -131,7 +131,8 @@ def check_serre_duality_modules(dynkin) -> CheckResult:
 
 
 def check_dynkin_periodicity(dynkin) -> CheckResult:
-    """S^h G = G[h-2], stepped by hand: `serre_apply` reads this period."""
+    """S^h G = G[h-2], stepped by hand: the entropy series and `mass_growth` read
+    this period."""
     bad = []
     for name, q, dyn in dynkin:
         g = standard_generator(q)

@@ -31,3 +31,20 @@ def drawn_orientations(draw, shapes):
         for (u, v), flip in zip(edges, flips)
     )
     return Quiver(n, arrows)
+
+
+@st.composite
+def drawn_unions(draw, shapes, max_parts=3):
+    """A disjoint union of 1..max_parts graphs of quivers in `shapes` (texts
+    or presets), every edge oriented along one drawn vertex order, so that
+    each acyclic orientation can be drawn and parallel edges agree, with the
+    labels shuffled across the union."""
+    edges, n = [], 0
+    for text in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=max_parts)):
+        q = parse_quiver(text)
+        edges += [(u + n, v + n) for u, v in q.undirected_edges()]
+        n += q.n
+    order = draw(st.permutations(range(n)))
+    label = draw(st.permutations(range(1, n + 1)))
+    oriented_edges = ((u, v) if order[u - 1] < order[v - 1] else (v, u) for u, v in edges)
+    return Quiver(n, tuple((label[u - 1], label[v - 1]) for u, v in oriented_edges))

@@ -281,6 +281,20 @@ def test_entropy_profile_needs_two_distinct_grid_points(capsys, grid):
     assert _error_type(err) == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--quiver", "A2", "--t-grid="],
+    ["curve", "--genus", "2", "--h-grid= , "],
+    ["stab", "mass", "--quiver", "A2", "--gepner", "--t-grid="],
+    ["volume", "--quiver", "A2", "--lam="],
+], ids=["entropy", "curve", "stab-mass", "volume"])
+def test_empty_lists_exit_two_naming_the_option(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    option, value = argv[-1].split("=")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "ConfigError", "message":
+                               "argument %s: expected at least one number, got %r" % (option, value)}}
+
+
 # repeats, zero, unit and near-overflow values; lists may be empty
 T_POOL = (0.0, 1.0, -1.0, 2.5, 1e300, -1e300)
 
@@ -428,10 +442,15 @@ def test_curve_zero_h_is_not_a_missing_h(capsys):
         (["stab", "gldim", "--quiver", "A2", "--z=a,1;1,1"], "charge 'a,1' is not numeric"),
         (["stab", "gldim", "--quiver", "A2", "--sigma", "SIGMA"],
          "--sigma file is malformed: 'int' object is not iterable"),
-        ([], "the following arguments are required: command"),
-        (["stab"], "the following arguments are required: stab_command"),
+        ([], "the following arguments are required: "
+             "{quiver,entropy,sdim,volume,stab,curve,verify}"),
+        (["stab"], "the following arguments are required: "
+                   "{gldim,sample,gepner,fec,restrict,mass}"),
         # the deleted top-level alias of `stab gepner`
-        (["gepner", "--quiver", "E7", "--check"], "argument command: invalid choice: 'gepner'"),
+        (["gepner", "--quiver", "E7", "--check"],
+         "argument {quiver,entropy,sdim,volume,stab,curve,verify}: invalid choice: 'gepner'"),
+        (["stab", "bogus"],
+         "argument {gldim,sample,gepner,fec,restrict,mass}: invalid choice: 'bogus'"),
         (["curve", "--genus", "2", "--H", "7"], "the following arguments are required: --h-grid"),
         (["entropy", "--quiver", "A2", "--series", "--t", "1", "--nmax", "2"],
          "argument --t: not allowed with argument --series"),
@@ -441,7 +460,7 @@ def test_curve_zero_h_is_not_a_missing_h(capsys):
          "argument --sigma: not allowed with argument --gepner"),
     ],
     ids=["bad-number", "bad-integer-list", "charge-not-re-im", "charge-not-numeric",
-         "sigma-malformed", "no-command", "no-stab-command", "gepner-alias", "curve-H",
+         "sigma-malformed", "no-command", "no-stab-command", "gepner-alias", "bogus-stab", "curve-H",
          "series-and-t", "no-sigma-source", "two-sigma-sources"],
 )
 def test_parse_errors_exit_two_with_one_envelope(capsys, tmp_path, argv, message):

@@ -1,9 +1,10 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdlab.catalog
@@ -32,7 +33,6 @@ from sdlab import (
     standard_generator,
     volume,
 )
-from sdlab.derived import serre_orbit
 from sdlab.entropy import growth_rate, log_sum_exp
 from sdlab.quivers import (
     Quiver,
@@ -42,7 +42,7 @@ from sdlab.quivers import (
     log_spectral_radius,
 )
 
-from orientations import every_orientation, oriented
+from orientations import drawn_unions, every_orientation, oriented
 
 A2 = parse_quiver("A2")
 K2 = parse_quiver("K2")
@@ -164,6 +164,11 @@ def stepped_levels(x, n, inverse=False):
     return levels
 
 
+def applied_levels(x, n):
+    """serre_apply(x, j).summands for j = 0..n."""
+    return [serre_apply(x, j).summands for j in range(n + 1)]
+
+
 def first_return(levels):
     """The least p >= 1 with level p = level 0 shifted uniformly, or None."""
     for p, lev in enumerate(levels[1:], start=1):
@@ -220,7 +225,7 @@ def test_orbit_apply_and_series_match_the_stepped_oracle(text, n):
     q = parse_quiver(text)
     g = standard_generator(q)
     forward = stepped_levels(g, n)
-    assert list(serre_orbit(g, n)) == forward
+    assert applied_levels(g, n) == forward
     assert serre_apply(g, n).summands == forward[n]
     assert serre_apply(g, -n).summands == stepped_levels(g, n, inverse=True)[n]
     expect = stepped_series_levels(q, n)
@@ -295,11 +300,13 @@ def test_changing_a_returned_level_changes_no_series():
 
 
 def test_dynkin_series_stop_stepping_at_the_first_return(monkeypatch):
-    # G's walk to S^p G = G[k] is kept by the catalog: the first series of
-    # E8 takes p levels of |G| steps, every later one none, whatever n_max,
-    # and the catalog neither grows nor keeps a second period
+    # each summand's orbit to S^p P = P[k] is kept by the catalog: the first
+    # series of E8 takes p levels of |G| steps, every later one none,
+    # whatever n_max, and the catalog neither grows nor walks a second
+    # orbit for the inverse
     monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
     entropy_series.cache_clear()
+    sdlab.entropy._dynkin_levels.cache_clear()
     q = parse_quiver("E8")
     cat, g = catalog_for(q), standard_generator(q)
     size = cat.size()
@@ -314,10 +321,13 @@ def test_dynkin_series_stop_stepping_at_the_first_return(monkeypatch):
         counts.append(len(calls))
     assert counts == [p * g.total_summands(), 0, 0, 0, 0] and counts[0] == 120
     assert cat.size() == size
-    assert list(cat.generator_periods) == [1] and len(cat.generator_periods[1][0]) == p
-    serre_apply(g, -10**5)
-    assert sorted(cat.generator_periods) == [-1, 1]
-    assert all(len(levels) <= 30 for levels, _ in cat.generator_periods.values())
+    real_inv = cat.serre_inv_step
+    monkeypatch.setattr(cat, "serre_inv_step", lambda ident: calls.append(ident) or real_inv(ident))
+    calls.clear()
+    # -10**5 = -3334 h + 20 and S^h G = G[h - 2] with h = 30
+    far = serre_apply(g, -10**5)
+    assert calls == [] and cat.size() == size
+    assert far.summands == tuple((i, s - 3334 * 28) for i, s in stepped_levels(g, 20)[20])
 
 
 def orbit_entry(x, j, inverse=False):
@@ -350,7 +360,7 @@ def test_serre_powers_of_mixed_objects_match_the_stepped_oracle():
         top = 10 if q == K3 else 75
         forward, backward = stepped_levels(x, top), stepped_levels(x, top, inverse=True)
         p = first_return(forward) or h
-        assert list(serre_orbit(x, top)) == forward
+        assert applied_levels(x, top) == forward
         powers = {n for n in (1, p - 1, p, p + 1, 2 * h + 3) if n <= top}
         # 1..6 cross P -> I forward and I -> P backward at j + 1 for each j
         for n in powers | {n for n in (2, 3, 4, 5, 6, 17, 40, 75) if n <= top}:
@@ -361,7 +371,7 @@ def test_serre_powers_of_mixed_objects_match_the_stepped_oracle():
             for b in signed:
                 assert serre_apply(serre_apply(x, a), b) == serre_apply(x, a + b)
     zero = DerivedObject.create(parse_quiver("E6"), [])
-    assert serre_apply(zero, 9) == zero and list(serre_orbit(zero, 3)) == [()] * 4
+    assert serre_apply(zero, 9) == zero and serre_apply(zero, -3) == zero
 
 
 @pytest.mark.parametrize("text", (
@@ -376,10 +386,54 @@ def test_components_returning_with_different_shifts_are_no_period(text):
     forward = stepped_levels(g, 40)
     assert sorted(i for i, _ in forward[12]) == sorted(i for i, _ in forward[0])
     assert first_return(forward) is None
-    assert list(serre_orbit(g, 40)) == forward
+    assert applied_levels(g, 40) == forward
     assert serre_apply(g, 40).summands == forward[40]
     assert serre_apply(g, -40).summands == stepped_levels(g, 40, inverse=True)[40]
     assert list(entropy_series(q, 40).levels) == stepped_series_levels(q, 40)
+
+
+UNION_SHAPES = ("A1", "A3", "A4", "D4", "D5", "E6", "K2", "K3",
+                MORE_QUIVERS["A~2"], MORE_QUIVERS["D~4"])
+K2_A1_A2 = parse_quiver("vertices:5; arrows:1->2,1->2,4->5")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(q=drawn_unions(UNION_SHAPES), n=st.integers(1, 30), m=st.integers(-30, 30))
+@example(q=parse_quiver("vertices:5; arrows:4->3,1->2,1->2,1->2,4->5"), n=23, m=-11)  # K3 + A3
+@example(q=K2_A1_A2, n=30, m=17)
+def test_serre_powers_and_series_on_drawn_unions(q, n, m):
+    # components are connected full subquivers that hold every vertex and arrow
+    subs = [q.full_subquiver(vs) for vs in q.components()]
+    assert sorted(v for vs in q.components() for v in vs) == list(range(1, q.n + 1))
+    assert all(sub.is_connected() for sub in subs)
+    assert sum(len(sub.arrows) for sub in subs) == len(q.arrows)
+    # every projective and injective, in three shifts, against stepping each summand
+    cat = catalog_for(q)
+    x = DerivedObject.create(q, [(i, j % 3 - 1) for j, i in enumerate(cat.proj_ids + cat.inj_ids)])
+    assert serre_apply(x, n).summands == stepped_levels(x, n)[n]
+    assert serre_apply(x, -n).summands == stepped_levels(x, n, inverse=True)[n]
+    assert serre_apply(serre_apply(x, m), n) == serre_apply(x, m + n)
+    # a wild component passes the default budget: only the sums are compared
+    levels = entropy_series(q, n, 10**100).levels
+    assert list(levels) == stepped_series_levels(q, n)
+    parts = [entropy_series(sub, n, 10**100).levels for sub in subs]
+    assert all(lev == sum((Counter(part[j]) for part in parts), Counter())
+               for j, lev in enumerate(levels))
+
+
+def test_a_disconnected_series_never_steps_its_own_catalog(monkeypatch):
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    entropy_series.cache_clear()
+    cat = catalog_for(K2_A1_A2)
+
+    def no_step(*args):
+        raise AssertionError("the catalog of K2 + A1 + A2 was stepped")
+
+    for name in ("serre_step", "serre_inv_step", "serre_power"):
+        monkeypatch.setattr(cat, name, no_step)
+    for n_max in (240, 1000):
+        assert len(entropy_series(K2_A1_A2, n_max).levels) == n_max + 1
+        assert cat.size() == 8
 
 
 def test_serre_orbit_steps_only_its_first_period(monkeypatch):
@@ -398,10 +452,10 @@ def test_serre_orbit_steps_only_its_first_period(monkeypatch):
 
     monkeypatch.setattr(cat, "serre_step", counted(cat.serre_step))
     monkeypatch.setattr(cat, "serre_inv_step", counted(cat.serre_inv_step))
-    levels = list(serre_orbit(g, 240))
-    assert len(levels) == 241
+    levels = applied_levels(g, 240)
+    assert levels[240] == expect[240]
     assert len(calls) <= p * g.total_summands()
-    # serre_apply reads the same walk, in both directions: p levels of |G|
+    # every power reads the same orbits, in both directions: p levels of |G|
     # steps each, where a second stepping loop would take up to 2p
     for power, summands in expect.items():
         calls.clear()
@@ -757,12 +811,10 @@ def test_off_dynkin_orbit_takes_no_catalog_step(monkeypatch, text):
     def no_step(ident):
         raise AssertionError("serre_step")
 
+    expect = stepped_levels(g, 240)
     monkeypatch.setattr(cat, "serre_step", no_step)
     monkeypatch.setattr(cat, "serre_inv_step", no_step)
-    levels = list(serre_orbit(g, 240))
-    assert len(levels) == 241
-    for n, summands in enumerate(levels):
-        assert serre_apply(g, n).summands == summands
+    assert applied_levels(g, 240) == expect
 
 
 def test_volume_values():
@@ -806,23 +858,25 @@ PERIOD_QUIVERS = {
 
 @pytest.mark.parametrize("text", list(PERIOD_QUIVERS.values()), ids=list(PERIOD_QUIVERS))
 def test_stored_period_readers_match_a_fresh_walk(monkeypatch, text):
-    # the catalog stores G's period at the first (largest) read; every
-    # shorter read after it, a prefix below p included, must equal stepping
-    # every summand afresh, and so must the orbit that mass_growth reads
+    # the catalog stores each orbit, and the series G's h levels, at the
+    # first (largest) read; every shorter read after it, a prefix below h
+    # included, must equal stepping every summand afresh, and so must the
+    # levels that mass_growth reads
     monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
     entropy_series.cache_clear()
+    sdlab.entropy._dynkin_levels.cache_clear()
     q = parse_quiver(text)
     g = standard_generator(q)
     h = classify_dynkin(q).coxeter_number
     top = 2 * h + 1
     forward, backward = stepped_levels(g, top), stepped_levels(g, top, inverse=True)
-    walk = [pairs for pairs, k in sdlab.derived.serre_walk(g, top) if k is None]
-    assert walk == forward[:len(walk)] and len(walk) <= h
+    # S^h = [h - 2], which lets the series keep h levels
+    assert forward[h] == tuple((i, s + h - 2) for i, s in forward[0])
     series_levels = stepped_series_levels(q, top)
     seen = []
-    real_orbit = sdlab.stability.serre_orbit
-    monkeypatch.setattr(sdlab.stability, "serre_orbit",
-                        lambda x, n: seen.append(list(real_orbit(x, n))) or real_orbit(x, n))
+    real_apply = sdlab.stability.serre_apply
+    monkeypatch.setattr(sdlab.stability, "serre_apply",
+                        lambda x, n: seen.append((n, real_apply(x, n).summands)) or real_apply(x, n))
     sigma = sdlab.make_stability(q, [1j] * q.n)  # every indecomposable semistable
     for n in (top, *range(1, top + 1)):
         series = entropy_series(q, n)
@@ -835,10 +889,8 @@ def test_stored_period_readers_match_a_fresh_walk(monkeypatch, text):
         assert serre_apply(g, -n).summands == backward[n]
         seen.clear()
         mass_growth(sigma, (0.5,), n)
-        assert seen == [forward[:n + 1]]
-    cat = catalog_for(q)
-    assert sorted(cat.generator_periods) == [-1, 1]
-    assert all(len(levels) == len(walk) for levels, _ in cat.generator_periods.values())
+        assert {j for j, _ in seen} >= set(range(min(n + 1, h)))
+        assert all(summands == forward[j] for j, summands in seen)
 
 
 def _sampled(q, n_max, t):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import re
@@ -33,7 +34,7 @@ from sdlab import (
     sigma_from_json,
 )
 from sdlab.catalog import catalog_for
-from sdlab.derived import serre_orbit, standard_generator
+from sdlab.derived import standard_generator
 from sdlab.entropy import growth_rate, log_sum_exp, tail_window
 from sdlab.quivers import Quiver, classify_dynkin
 from sdlab.reps import catalog_reps, exists_mono
@@ -476,6 +477,19 @@ def test_gepner_rotation_search_on_every_orientation():
     assert built > 0
 
 
+@functools.cache
+def stepped_generator_orbit(q, n):
+    """The summands of S^j G for j = 0..n, sorted: every summand stepped by
+    the catalog j times, with no period shortcut."""
+    step = catalog_for(q).serre_step
+    pairs = standard_generator(q).summands
+    levels = [pairs]
+    for _ in range(n):
+        pairs = tuple(sorted((j, k + d) for i, k in pairs for j, d in [step(i)]))
+        levels.append(pairs)
+    return levels
+
+
 def full_orbit_mass_growth(sigma, t_grid, n_max=30):
     """The oracle: mass growth off all n_max + 1 levels of G's orbit, each
     level's (|Z|, phase) built and its semistability checked in turn."""
@@ -490,7 +504,7 @@ def full_orbit_mass_growth(sigma, t_grid, n_max=30):
     q = sigma.quiver
     by_ident = {r.ident: r for r in sigma.records}
     level_data = []
-    for n, pairs in enumerate(serre_orbit(standard_generator(q), n_max)):
+    for n, pairs in enumerate(stepped_generator_orbit(q, n_max)):
         data = []
         for ident, k in pairs:
             r = by_ident.get(ident)
@@ -557,7 +571,7 @@ def test_mass_growth_reads_only_the_sampled_levels_and_the_window(monkeypatch):
     q = parse_quiver("E8")
     sigma, g = gepner_construct(q), standard_generator(q)
     n_max = 240
-    p = len(serre_orbit(g, n_max).period)
+    h = classify_dynkin(q).coxeter_number
     placed, sampled = [], set()
     real_placed, real_fit = sdlab.stability._placed, sdlab.stability.growth_rate
 
@@ -570,8 +584,8 @@ def test_mass_growth_reads_only_the_sampled_levels_and_the_window(monkeypatch):
     mg = mass_growth(sigma, (0.0, 1.0), n_max)
     assert mg == full_orbit_mass_growth(sigma, (0.0, 1.0), n_max)
     levels = len(sampled | set(tail_window(n_max)))
-    assert p == 15 and levels == 124
-    assert len(placed) <= (levels + p) * g.total_summands() < (n_max + 1) * g.total_summands()
+    assert h == 30 and levels == 124
+    assert len(placed) <= (levels + h) * g.total_summands() < (n_max + 1) * g.total_summands()
 
 
 def test_non_finite_inputs_raise_config_errors_naming_them():
