@@ -4,9 +4,12 @@ On a Dynkin quiver an indecomposable is fixed by its dimension vector
 (Gabriel 1972), and the Serre functor moves K-classes by A = -Phi for the
 Coxeter matrix Phi: S P_i = I_i and S M = tau M[1] otherwise (Happel 1988).
 So entries hold dimension vectors only.  The projectives and injectives are
-the rows and columns of the path-count matrix P = E^{-1}, and each Serre
-step is read off the sign of the integer vector A^{+-1} dim M.  A power
-S^n is read per entry (`serre_power`).  On a Dynkin component
+the rows and columns of the path-count matrix P = E^{-1}.  On a connected
+Dynkin quiver the knitting that lists the entries computes tau^{-1} M =
+-A^{-1} dim M at each step, so it records S on every entry as it goes:
+S P_i = I_i and S(tau^{-1} M) = M[1].  Every other Serre step is read off
+the sign of the integer vector A^{+-1} dim M.  A power S^n is read per
+entry (`serre_power`).  On a Dynkin component
 S^h = [h - 2] on every indecomposable (Happel 1988), so the entry's orbit
 returns, S^p M = M[k] with p <= h; it is walked once and S^n M read off it
 for any n of either sign.  On any other component an orbit crosses from the
@@ -62,10 +65,11 @@ class IndecCatalog:
     quivers get the projectives and injectives plus lazily-created virtual
     entries for the rest of the preprojective and preinjective components;
     operations that need the complete list, or Hom out of a virtual entry,
-    raise CatalogIncomplete there.  One memoized rule serves both kinds of
-    quiver and both directions: `serre_step` and `serre_inv_step` apply
-    `serre_k` = A or `serre_k_inv` = A^{-1} to the dimension vector.
-    `serre_power` reads an entry on a Dynkin component off its orbit, walked
+    raise CatalogIncomplete there.  On a connected Dynkin quiver
+    `serre_step` reads the steps the knitting recorded.  Every other step,
+    off Dynkin, on a disconnected quiver and by `serre_inv_step`, comes from
+    one memoized rule, `_step`, which applies `serre_k` = A or
+    `serre_k_inv` = A^{-1} to the dimension vector.  `serre_power` reads an entry on a Dynkin component off its orbit, walked
     by `serre_step` to the first return; elsewhere it applies A^p at once
     and registers only the image, so virtual ids follow the order of the
     calls.  A catalog is built from the quiver alone and lives in memory
@@ -93,13 +97,19 @@ class IndecCatalog:
         self.by_dim: dict[tuple[int, ...], int] = {}
         self.proj_ids: list[int] = []
         self.inj_ids: list[int] = []
-        self._steps: dict[tuple[int, int], tuple[int, int]] = {}
         self._chi_rows: list[tuple[int, ...]] | None = None
         # id -> (S^j M as (id, shift) for j < p, k) up to S^p M = M[k]
         self._orbits: dict[int, tuple[list[tuple[int, int]], int]] = {}
-        for dim, proj_vertex, inj_vertex in self._walk(proj, inj):
+        knitted = []  # (dim M, (dim M', delta)) for S M = M'[delta]
+        for dim, proj_vertex, inj_vertex, serre in self._walk(proj, inj):
             self._add(dim, proj_vertex, inj_vertex)
+            if serre is not None:
+                knitted.append((dim, serre))
         self._link()
+        # (id, sign) -> S^sign M as (id, delta): the knitting's own steps,
+        # then `_step`'s for the rest
+        self._steps: dict[tuple[int, int], tuple[int, int]] = {
+            (self.by_dim[d], 1): (self.by_dim[image], delta) for d, (image, delta) in knitted}
 
     # -- construction
 
@@ -118,20 +128,21 @@ class IndecCatalog:
         return ident
 
     def _walk(self, proj, inj):
-        """(dim, proj_vertex, inj_vertex) in id order: the projectives, then
-        on a Dynkin quiver each projective's tau-inverse orbit in turn."""
+        """(dim, proj_vertex, inj_vertex, S M as (dim, delta) or None) in id
+        order: the projectives, then on a Dynkin quiver each projective's
+        tau-inverse orbit in turn, where S P_i = I_i and S(tau^{-1} M) = M[1]."""
         if self.dynkin is None:
-            yield from ((d, i, None) for i, d in enumerate(proj, start=1))
-            yield from ((d, None, j) for j, d in enumerate(inj, start=1))
+            yield from ((d, i, None, None) for i, d in enumerate(proj, start=1))
+            yield from ((d, None, j, None) for j, d in enumerate(inj, start=1))
             return
         inj_vertex = {d: j for j, d in enumerate(inj, start=1)}
         for i, d in enumerate(proj, start=1):
-            yield d, i, inj_vertex.get(d)
+            yield d, i, inj_vertex.get(d), (inj[i - 1], 0)
         for d in proj:
             while d not in inj_vertex:
                 # off the injectives S^{-1} M = tau^{-1} M[-1], so -A^{-1} dim M
-                d = tuple(-x for x in int_mat_vec(self.serre_k_inv, d))
-                yield d, None, inj_vertex.get(d)
+                m, d = d, tuple(-x for x in int_mat_vec(self.serre_k_inv, d))
+                yield d, None, inj_vertex.get(d), (m, 1)
 
     def _link(self) -> None:
         """proj/inj ids from the flags; on a Dynkin quiver, the check that

@@ -23,7 +23,13 @@ so h_t = t + log rho(Phi) exactly and both Serre dimensions are 1; the
 estimators read no series there, so no budget binds them.  Elsewhere
 `growth_rate` fits a + b/n over a deterministic subsequence and reports the
 extrapolated intercept: np.polyfit's arithmetic, on a scaled design built
-once per sample range.
+once per sample range.  `entropy_estimate` and `entropy_profile` fit every
+t of their grid off one sweep of those samples: each level is located and
+its logs taken once, and then each t gets the values and the one lstsq
+that `growth_rate` over `EntropySeries.log_f` gives it, bit for bit.  The
+Dynkin levels come from catalog orbits that take no matrix step, as the
+knitting recorded S on every entry; `sdim_estimate` reads each support at
+2p levels, for G's first return p.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .quivers import (
 )
 
 DEFAULT_BUDGET = 10**9
+_LSE_RANGE = "log-sum-exp leaves the float range; use a smaller |t|"
 
 
 def log_sum_exp(terms) -> float:
@@ -57,7 +64,7 @@ def log_sum_exp(terms) -> float:
     # one term is its own sum: top + log(exp(0)) is top + 0.0, bit for bit
     total = top + (math.log(sum(math.exp(v - top) for v in vals)) if len(vals) > 1 else 0.0)
     if not math.isfinite(total):
-        raise ConfigError("log-sum-exp leaves the float range; use a smaller |t|")
+        raise ConfigError(_LSE_RANGE)
     return total
 
 
@@ -115,15 +122,17 @@ def _kclass_levels(cat):
 
 
 @functools.cache
-def _dynkin_levels(q: Quiver) -> list[dict[int, int]]:
-    """G's levels 0..h-1 on a connected Dynkin quiver: S^n G is S^n P_i =
-    N[b] (`IndecCatalog.serre_power`) over the projectives P_i, and each
-    N[b] adds its total dimension at m = -b; S^h G = G[h - 2] gives every
-    later level."""
+def _dynkin_levels(q: Quiver) -> tuple[list[dict[int, int]], int]:
+    """(G's levels 0..h-1, G's first return p) on a connected Dynkin quiver:
+    S^n G is S^n P_i = N[b] (`IndecCatalog.serre_power`) over the
+    projectives P_i, and each N[b] adds its total dimension at m = -b;
+    S^h G = G[h - 2] gives every later level.  Every P_i returns to itself
+    after p steps, the lcm of their orbit lengths, which divides h."""
     cat = catalog_for(q)
-    return [_summed((-b, sum(cat.entries[i].dim_vector))
-                    for i, b in cat.serre_power(cat.proj_ids, n))
-            for n in range(cat.dynkin.coxeter_number)]
+    levels = [_summed((-b, sum(cat.entries[i].dim_vector))
+                      for i, b in cat.serre_power(cat.proj_ids, n))
+              for n in range(cat.dynkin.coxeter_number)]
+    return levels, math.lcm(*(len(cat._orbits[i][0]) for i in cat.proj_ids))
 
 
 def _connected_levels(q: Quiver):
@@ -133,7 +142,7 @@ def _connected_levels(q: Quiver):
     if cat.single_crossing:
         return _kclass_levels(cat), None
     h = cat.dynkin.coxeter_number
-    levels = _dynkin_levels(q)
+    levels = _dynkin_levels(q)[0]
     return (_moved_level(levels[n % h], n // h * (h - 2)) for n in itertools.count()), h
 
 
@@ -189,18 +198,27 @@ def tail_window(n_max: int) -> range:
     return range(max(1, n_max - n_max // 2), n_max + 1)
 
 
+def _samples(q: Quiver, n_max: int) -> range:
+    """The n the fits read: the multiples of the Coxeter number on a Dynkin
+    quiver when n_max holds two, where log f_n / n is affine in 1/n and the
+    fit is exact; otherwise the tail window."""
+    dyn = classify_dynkin(q)
+    if dyn is not None and n_max >= 2 * dyn.coxeter_number:
+        return range(dyn.coxeter_number, n_max + 1, dyn.coxeter_number)
+    return tail_window(n_max)
+
+
 def growth_rate(q: Quiver, n_max: int, log_f) -> float:
     """Extrapolated n -> infinity limit of log_f(n) / n: the intercept a of
-    the least-squares fit y = a + b/n.  On Dynkin quivers it is sampled at
-    the multiples of the Coxeter number when n_max holds two, where the
-    sequence is affine in 1/n and the fit is exact; otherwise over the tail
-    window.  The fit is np.polyfit(1/n, y, 1)'s arithmetic on the design
-    that `_fit_design` keeps per sample range."""
-    dyn = classify_dynkin(q)
-    ns = tail_window(n_max)
-    if dyn is not None and n_max >= 2 * dyn.coxeter_number:
-        ns = range(dyn.coxeter_number, n_max + 1, dyn.coxeter_number)
-    ys = [log_f(n) / n for n in ns]
+    the least-squares fit y = a + b/n over `_samples(q, n_max)`."""
+    ns = _samples(q, n_max)
+    return _fit(ns, [log_f(n) / n for n in ns])
+
+
+def _fit(ns: range, ys: list) -> float:
+    """The intercept of y = a + b/n over the samples ns: np.polyfit(1/n, y,
+    1)'s arithmetic on the design that `_fit_design` keeps per sample range.
+    One lstsq per call: a multi-column call rounds some columns differently."""
     if len(ns) == 1:
         return ys[0]
     import numpy as np
@@ -224,35 +242,58 @@ def _fit_design(ns: range):
     return lhs, scale, len(x) * np.finfo(x.dtype).eps
 
 
+def _estimates(q: Quiver, ts, n_max: int, budget: int) -> list[float]:
+    """h_t for each t of ts, as `growth_rate(q, n_max, log f_n(t))` rounds
+    it, from one sweep of the sampled levels: each level is located and its
+    logs taken once, and a one-key level's log-sum-exp is its one term +
+    0.0.  Each t not yet in the series' memo is fitted once; the first 64
+    such t are kept."""
+    _check_sizes(n_max, budget)
+    for t in ts:
+        require_finite("t", t)  # a nan would also never hit the estimate memo
+    if classify_dynkin(q) is None:
+        return [t + log_spectral_radius(q) for t in ts]
+    series = entropy_series(q, n_max, budget)
+    memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
+    new = dict.fromkeys(t for t in ts if t not in memo)
+    if new:
+        ns = _samples(q, n_max)
+        sweep = []  # (n, [(log dim, m) per key of level n])
+        for n in ns:
+            lev, move = series.levels.locate(n)
+            sweep.append((n, [(math.log(d), m - move) for m, d in lev.items()]))
+        for t in new:
+            ys = [(terms[0][0] - terms[0][1] * t + 0.0) / n if len(terms) == 1
+                  else log_sum_exp([lg - m * t for lg, m in terms]) / n
+                  for n, terms in sweep]
+            if not all(map(math.isfinite, ys)):
+                raise ConfigError(_LSE_RANGE)
+            new[t] = _fit(ns, ys)
+        for t, h in new.items():
+            if len(memo) < 64:
+                memo[t] = h
+    return [new[t] if t in new else memo[t] for t in ts]
+
+
 def entropy_estimate(
     q: Quiver, t: float, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Categorical entropy h_t of the Serre functor.  Off Dynkin, on a
     connected quiver, it is t + log rho(Phi) exactly and reads no series; on
-    a Dynkin quiver it is extrapolated from the series by `growth_rate` once
-    per t and series.  A disconnected quiver raises DisconnectedQuiver
-    before any series is read."""
-    _check_sizes(n_max, budget)
-    require_finite("t", t)  # a nan would also never hit the estimate memo
-    if classify_dynkin(q) is None:
-        return t + log_spectral_radius(q)
-    series = entropy_series(q, n_max, budget)
-    memo = vars(series).setdefault("estimates", {})  # t -> h_t, up to 64
-    h = memo.get(t)
-    if h is None:
-        h = growth_rate(q, n_max, lambda n: series.log_f(n, t))
-        if len(memo) < 64:
-            memo[t] = h
-    return h
+    a Dynkin quiver it is extrapolated from the series by `growth_rate`'s
+    fit once per t and series.  A disconnected quiver raises
+    DisconnectedQuiver before any series is read."""
+    return _estimates(q, (t,), n_max, budget)[0]
 
 
-def _tail_max(support: Period, n_max: int) -> float:
-    """max m_n / n over the tail window, read at no more than 2p of its n:
-    on each class n = qp + r, (m_r + qk) / (qp + r) is monotone in q, and so
-    is its correctly rounded quotient, so the window's first and last period
-    hold the maximum."""
+def _tail_max(support: Period, n_max: int, p: int | None = None) -> float:
+    """max m_n / n over the tail window, read at no more than 2p of its n,
+    for a period p of the support (m_(n+p) = m_n + k; the stored one by
+    default): on each class n = qp + r, (m_r + qk) / (qp + r) is monotone
+    in q, and so is its correctly rounded quotient, so the window's first
+    and last p hold the maximum."""
     window = tail_window(n_max)
-    p = len(support.period)
+    p = p or len(support.period)
     return max(support[n] / n for n in (*window[:p], *window[p:][-p:]))
 
 
@@ -277,7 +318,8 @@ def sdim_estimate(q: Quiver, n_max: int = 30, budget: int = DEFAULT_BUDGET) -> S
     if dyn is None:
         return SerreDims(upper=1.0, lower=1.0, exact=Fraction(1))
     series = entropy_series(q, n_max, budget)
-    upper, lower = _tail_max(series.m_minus, n_max), _tail_max(series.m_plus, n_max)
+    p = _dynkin_levels(q)[1]  # G's first return, where the supports repeat
+    upper, lower = _tail_max(series.m_minus, n_max, p), _tail_max(series.m_plus, n_max, p)
     h = dyn.coxeter_number
     return SerreDims(upper=upper, lower=lower, exact=Fraction(h - 2, h))
 
@@ -316,7 +358,7 @@ def entropy_profile(
     if len(set(ts)) < 2:
         # a line through one abscissa is undetermined
         raise ConfigError("entropy profile needs at least 2 distinct grid points")
-    hs = [entropy_estimate(q, t, n_max, budget) for t in ts]
+    hs = _estimates(q, ts, n_max, budget)
     # fit on t / 2**e, inside [-1, 1], so that no square of t overflows;
     # scaling by a power of two is exact
     e = math.frexp(max(abs(t) for t in ts))[1]

@@ -195,12 +195,17 @@ def mass_growth(sigma: StabilityCondition, t_grid, n_max: int = 30) -> MassGrowt
     q = sigma.quiver
     by_ident = {r.ident: r for r in sigma.records}
     g = standard_generator(q)
+    h = catalog_for(q).dynkin.coxeter_number
+    # S^h G = G[h - 2]: S^n G is level n mod h with every shift moved by
+    # (n // h)(h - 2), in the same order, so only levels 0..h-1 are applied
+    first = [serre_apply(g, n).summands for n in range(min(n_max + 1, h))]
 
     @functools.cache
     def terms(n: int) -> list:  # (|Z|, phase) per summand of S^n G
-        return [_placed(by_ident, ident, k, n) for ident, k in serre_apply(g, n).summands]
+        move = n // h * (h - 2)
+        return [_placed(by_ident, ident, k + move, n) for ident, k in first[n % h]]
 
-    for n in range(min(n_max + 1, catalog_for(q).dynkin.coxeter_number)):
+    for n in range(len(first)):
         terms(n)
     rates = [
         growth_rate(q, n_max, lambda n: log_sum_exp(math.log(a) + p * t for a, p in terms(n)))

@@ -1,10 +1,22 @@
 """The integer catalog against the exact representation oracle, over random
 orientations of Dynkin trees."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from sdlab import CatalogIncomplete, IndecCatalog, euler_form, parse_quiver
+import sdlab.catalog
+import sdlab.entropy
+from sdlab import (
+    CatalogIncomplete,
+    IndecCatalog,
+    act,
+    euler_form,
+    gepner_check,
+    gepner_construct,
+    parse_quiver,
+)
 from sdlab.prng import SplitMix64, fold_seed
 from sdlab.reps import (
     ar_translate,
@@ -81,6 +93,48 @@ def test_serre_steps_round_trip_along_orbits(text):
             ids = [step(i)[0] for i in ids]
             for ident in ids:
                 _assert_round_trip(cat, ident)
+
+
+def _knitted_quivers():
+    """Every orientation of A2-A7, D4-D6 and E6, then 8 seeded ones each of
+    E7 and E8."""
+    shapes = ("A2", "A3", "A4", "A5", "A6", "A7", "D4", "D5", "D6", "E6")
+    quivers = [q for name in shapes for q in every_orientation(name)]
+    rng = random.Random(2032)
+    for name in ("E7", "E8"):
+        edges = len(parse_quiver(name).undirected_edges())
+        quivers += [oriented(name, [rng.randrange(2) for _ in range(edges)]) for _ in range(8)]
+    return quivers
+
+
+def test_the_knitting_records_every_serre_step_as_step_computes_it():
+    for q in _knitted_quivers():
+        cat = IndecCatalog(q)
+        knitted = dict(cat._steps)
+        assert set(knitted) == {(ident, 1) for ident in range(cat.size())}
+        for (ident, sign), step in knitted.items():
+            assert cat._step(ident, sign) == step
+
+
+def test_dynkin_orbit_walks_make_no_matrix_step(monkeypatch):
+    # the knitting recorded S on every entry, so the orbits that the
+    # series levels, the Serre action and the Gepner check read compute none
+    def no_step(*args):
+        raise AssertionError("int_mat_vec on a Dynkin orbit walk")
+
+    monkeypatch.setattr(sdlab.catalog, "_CATALOGS", {})
+    sdlab.entropy._dynkin_levels.cache_clear()
+    for name in ("A4", "D5", "E8"):
+        q = parse_quiver(name)
+        sigma = gepner_construct(q)
+        h = sdlab.catalog.catalog_for(q).dynkin.coxeter_number
+        with monkeypatch.context() as m:
+            m.setattr(sdlab.catalog, "int_mat_vec", no_step)
+            cat = sdlab.catalog.catalog_for(q)
+            cat.serre_power(range(cat.size()), 7)
+            assert len(sdlab.entropy._dynkin_levels(q)[0]) == h
+            act(sigma, "serre")
+            assert gepner_check(sigma, (h - 2) / h).verdict
 
 
 def _table_quivers():

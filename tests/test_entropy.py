@@ -602,14 +602,16 @@ def test_wild_kroneckers_exceed_the_budget_where_the_stepped_orbit_does(name):
 
 @pytest.fixture
 def fits(monkeypatch):
-    """The `growth_rate` calls of `entropy_estimate`, from an empty series cache."""
+    """The fits of `entropy_estimate` and `entropy_profile`, one per t, from
+    an empty series cache."""
     calls = []
+    fit = sdlab.entropy._fit
 
     def counted(*args):
-        calls.append(args[:2])
-        return growth_rate(*args)
+        calls.append(args[0])
+        return fit(*args)
 
-    monkeypatch.setattr(sdlab.entropy, "growth_rate", counted)
+    monkeypatch.setattr(sdlab.entropy, "_fit", counted)
     entropy_series.cache_clear()
     return calls
 
@@ -640,6 +642,46 @@ def test_series_caches_are_bounded(fits):
     series = entropy_series(q, 30, DEFAULT_BUDGET)  # the key the estimates use
     assert len(vars(series)["estimates"]) == 64
     assert entropy_series.cache_info().maxsize == 64
+
+
+SWEEP_N_MAX = (*range(1, 62), 90, 120, 240)
+SWEEP_GRIDS = {
+    "signed-zeros": (-0.0, 0.0, 1.0, -1.0, 0.0),
+    "repeated": (1.0, -2.0, 1.0, 0.5, -2.0, 1.0),
+    # 68 distinct t fill the memo; the signed zeros and 0.5 come after it
+    "past-the-memo": tuple(j / 8 + 0.5 for j in range(68)) + (-0.0, 0.0, 0.5),
+    "overflow": (1e308, 0.0, 1.0),
+}
+
+
+def _growth_rate_estimates(q, ts, n_max, budget):
+    """h_t per t by `growth_rate` over `EntropySeries.log_f`: the reference."""
+    series = entropy_series(q, n_max, budget)
+    return [growth_rate(q, n_max, lambda n, t=t: series.log_f(n, t)) for t in ts]
+
+
+def _bits(run):
+    """The floats run() returns, as hex, or the ConfigError it raises."""
+    try:
+        return [x.hex() for x in run()]
+    except ConfigError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS)
+@pytest.mark.parametrize("name", DYNKIN_PERIOD)
+def test_the_sweep_fits_every_t_as_growth_rate_does(monkeypatch, name, grid):
+    # entropy_profile fits the whole grid off one sweep of the sampled
+    # levels, and entropy_estimate reads the memo it leaves or sweeps alone
+    q = parse_quiver(name)
+    for n_max in SWEEP_N_MAX:
+        entropy_series.cache_clear()
+        profile = _bits(lambda: entropy_profile(q, grid, n_max)[:3])
+        estimates = _bits(lambda: [entropy_estimate(q, t, n_max) for t in grid])
+        with monkeypatch.context() as m:
+            m.setattr(sdlab.entropy, "_estimates", _growth_rate_estimates)
+            assert profile == _bits(lambda: entropy_profile(q, grid, n_max)[:3])
+        assert estimates == _bits(lambda: _growth_rate_estimates(q, grid, n_max, DEFAULT_BUDGET))
 
 
 def test_off_dynkin_estimates_need_no_fit(fits):

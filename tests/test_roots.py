@@ -68,8 +68,8 @@ def test_a_corrupted_knitting_fails_the_certificate(monkeypatch, name, corrupt):
 
     def corrupted(self, proj, inj):
         items = list(walk(self, proj, inj))
-        d, i, j = items[-1]
-        items[-1] = corrupt(d, items[0][0]), i, j
+        d, *flags = items[-1]
+        items[-1] = corrupt(d, items[0][0]), *flags
         return iter(items)
 
     monkeypatch.setattr(IndecCatalog, "_walk", corrupted)

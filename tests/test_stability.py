@@ -581,10 +581,15 @@ def test_mass_growth_reads_only_the_sampled_levels_and_the_window(monkeypatch):
     monkeypatch.setattr(sdlab.stability, "_placed",
                         lambda *args: placed.append(args) or real_placed(*args))
     monkeypatch.setattr(sdlab.stability, "growth_rate", fit)
+    applied, real_apply = [], sdlab.stability.serre_apply
+    monkeypatch.setattr(sdlab.stability, "serre_apply",
+                        lambda x, n: applied.append(n) or real_apply(x, n))
     mg = mass_growth(sigma, (0.0, 1.0), n_max)
     assert mg == full_orbit_mass_growth(sigma, (0.0, 1.0), n_max)
     levels = len(sampled | set(tail_window(n_max)))
     assert h == 30 and levels == 124
+    # S^h G = G[h - 2]: every later level moves the shifts of levels 0..h-1
+    assert applied == list(range(h))
     assert len(placed) <= (levels + h) * g.total_summands() < (n_max + 1) * g.total_summands()
 
 
