@@ -117,7 +117,7 @@ def _cmd_entropy(ns: argparse.Namespace) -> dict:
         }
     if ns.t_grid is not None:
         prof = ent.entropy_profile(q, ns.t_grid, ns.n_max, ns.budget)
-        rows = [[t, ent.entropy_estimate(q, t, ns.n_max, ns.budget)] for t in ns.t_grid]
+        rows = [[t, h] for t, h in zip(ns.t_grid, prof.estimates)]
         return {
             "kind": "entropy-profile",
             "quiver": q.text(),

@@ -22,14 +22,14 @@ Off Dynkin, on a connected quiver, f_n(t) = |sum A^n [G]| exp((n - 1) t),
 so h_t = t + log rho(Phi) exactly and both Serre dimensions are 1; the
 estimators read no series there, so no budget binds them.  Elsewhere
 `growth_rate` fits a + b/n over a deterministic subsequence and reports the
-extrapolated intercept: np.polyfit's arithmetic, on a scaled design built
-once per sample range.  `entropy_estimate` and `entropy_profile` fit every
-t of their grid off one sweep of those samples: each level is located and
-its logs taken once, and then each t gets the values and the one lstsq
-that `growth_rate` over `EntropySeries.log_f` gives it, bit for bit.  The
-Dynkin levels come from catalog orbits that take no matrix step, as the
-knitting recorded S on every entry; `sdim_estimate` reads each support at
-2p levels, for G's first return p.
+extrapolated intercept, exact in integers and rounded once, from weights
+built once per sample range; no numpy is loaded.  `entropy_estimate` and
+`entropy_profile` fit every t of their grid off one sweep of those samples:
+each level is located and its logs taken once, and then each t gets the
+values and the one fit that `growth_rate` over `EntropySeries.log_f` gives
+it, bit for bit.  The Dynkin levels come from catalog orbits that take no
+matrix step, as the knitting recorded S on every entry; `sdim_estimate`
+reads each support at 2p levels, for G's first return p.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .quivers import (
 
 DEFAULT_BUDGET = 10**9
 _LSE_RANGE = "log-sum-exp leaves the float range; use a smaller |t|"
+_FIT_RANGE = "the growth-rate fit leaves the float range; use a smaller |t|"
 
 
 def log_sum_exp(terms) -> float:
@@ -216,30 +217,43 @@ def growth_rate(q: Quiver, n_max: int, log_f) -> float:
 
 
 def _fit(ns: range, ys: list) -> float:
-    """The intercept of y = a + b/n over the samples ns: np.polyfit(1/n, y,
-    1)'s arithmetic on the design that `_fit_design` keeps per sample range.
-    One lstsq per call: a multi-column call rounds some columns differently."""
+    """The intercept of the least-squares fit y = a + b x over x = 1.0 / n,
+    n in ns, rounded once: the float nearest to the exact intercept of the
+    float inputs.  Every x and y is an exact dyadic, so the intercept is
+    sum_n w_n y_n / d for `_fit_weights`' integers, one integer dot product
+    over the ys moved to one common power of two and one int / int true
+    division, which CPython rounds correctly.  ConfigError when it leaves
+    the float range."""
     if len(ns) == 1:
         return ys[0]
-    import numpy as np
-
-    lhs, scale, rcond = _fit_design(ns)
-    return float(np.linalg.lstsq(lhs, np.array(ys) + 0.0, rcond)[0][1] / scale[1])
+    weights, d = _fit_weights(ns)
+    num, scale = 0, 1  # the terms so far sum to num / scale
+    for w, y in zip(weights, ys):
+        m, den = y.as_integer_ratio()  # den is a power of two
+        if den > scale:
+            num *= den // scale
+            scale = den
+        elif den < scale:
+            m *= scale // den
+        num += w * m
+    try:
+        return num / (d * scale)
+    except OverflowError:
+        raise ConfigError(_FIT_RANGE) from None
 
 
 @functools.lru_cache(maxsize=64)
-def _fit_design(ns: range):
-    """np.polyfit's degree-1 design for x = 1/n over the samples ns: the
-    Vandermonde columns [x, 1] scaled to unit norm, the scales and rcond,
-    so that lstsq on it and the division by the scales repeat polyfit bit
-    for bit.  Sample ranges are few: tail windows and multiples of h."""
-    import numpy as np
-
-    x = np.array([1.0 / n for n in ns])
-    lhs = np.vander(x, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    return lhs, scale, len(x) * np.finfo(x.dtype).eps
+def _fit_weights(ns: range) -> tuple[tuple[int, ...], int]:
+    """Integers w_n = Sxx - Sx X_n and d = k Sxx - Sx^2 over the k samples
+    ns, for x = 1.0 / n = X_n / 2^p with one common p, Sx = sum X_n and
+    Sxx = sum X_n^2: the least-squares intercept of y = a + b x is
+    sum_n w_n y_n / d, as the powers of 2^p cancel.  Sample ranges are few:
+    tail windows and multiples of h."""
+    ratios = [(1.0 / n).as_integer_ratio() for n in ns]
+    scale = max(den for _, den in ratios)
+    xs = [num * (scale // den) for num, den in ratios]
+    sx, sxx = sum(xs), sum(x * x for x in xs)
+    return tuple(sxx - sx * x for x in xs), len(xs) * sxx - sx * sx
 
 
 def _estimates(q: Quiver, ts, n_max: int, budget: int) -> list[float]:
@@ -336,20 +350,21 @@ def volume(q: Quiver, lam: float, n_max: int = 30) -> float:
         raise ConfigError("volume leaves the float range; use a smaller lam") from None
 
 
-class EntropyProfile(namedtuple("EntropyProfile", "slope intercept residual c_hat")):
+class EntropyProfile(namedtuple("EntropyProfile", "slope intercept residual c_hat estimates")):
     __slots__ = ()
     slope: float
     intercept: float
     residual: float
     c_hat: complex  # slope + i * intercept / pi
+    estimates: tuple  # h_t per grid t, as entropy_estimate gives it
 
 
 def entropy_profile(
     q: Quiver, t_grid, n_max: int = 30, budget: int = DEFAULT_BUDGET
 ) -> EntropyProfile:
     """Fit h_t = slope * t + intercept over the grid by least squares;
-    residual is the max absolute deviation.  A tiny residual certifies
-    affine entropy."""
+    residual is the max absolute deviation, and estimates holds the fitted
+    h_t.  A tiny residual certifies affine entropy."""
     ts = [float(t) for t in t_grid]
     if not ts:
         raise EmptyGrid("entropy profile needs a nonempty t grid")
@@ -377,4 +392,5 @@ def entropy_profile(
         intercept=intercept,
         residual=residual,
         c_hat=complex(slope, intercept / math.pi),
+        estimates=tuple(hs),
     )

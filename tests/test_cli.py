@@ -261,8 +261,8 @@ def test_short_series_and_float_overflow_end_cleanly(capsys, argv, code):
 
 
 def test_entropy_profile_fits_huge_grid_points(tmp_path):
-    # numpy's fit squares the t column; 1e300 must not overflow it into a
-    # zero slope with warnings on stderr
+    # the profile's fit squares the t column; 1e300 must not overflow it
+    # into a zero slope with warnings on stderr
     cmd = [sys.executable, "-m", "sdlab.cli",
            "entropy", "--quiver", "A2", "--t-grid=1e300,0,1"]
     run = subprocess.run(cmd, capture_output=True, text=True,
@@ -274,8 +274,8 @@ def test_entropy_profile_fits_huge_grid_points(tmp_path):
 
 @pytest.mark.parametrize("grid", ["0,0,0", "1,1,1"], ids=["zeros", "ones"])
 def test_entropy_profile_needs_two_distinct_grid_points(capsys, grid):
-    # one abscissa fixes no line: numpy's fit raised LinAlgError at 0 and
-    # printed a rank-deficient slope (1/6 on A2, true slope 1/3) at 1
+    # one abscissa fixes no line: a least-squares solve finds no slope at
+    # 0 and a rank-deficient one (1/6 on A2, true slope 1/3) at 1
     code, out, err = _run(capsys, ["entropy", "--quiver", "A2", "--t-grid=" + grid])
     assert code == 2 and out == ""
     assert _error_type(err) == "ConfigError"
@@ -573,9 +573,9 @@ def test_runtime_never_imports_the_exact_oracle(tmp_path):
     assert json.loads(runs[0][1])["verdict"] is True
 
 
-# `cli-cold` commands that need no eigenvector, growth-rate fit or curve
-# oracle; K2 is not Dynkin, so `gepner` stops before the eigenvector and the
-# estimators read h_t = t + log rho without a fit
+# commands that need no eigenvector or curve oracle; the growth-rate fits
+# are integer arithmetic, and K2 is not Dynkin, so `gepner` stops before the
+# eigenvector and the estimators read h_t = t + log rho without a fit
 NUMPY_FREE_ARGV = [
     ["quiver", "--quiver", "E8"],
     ["sdim", "--quiver", "E8"],
@@ -585,6 +585,10 @@ NUMPY_FREE_ARGV = [
     ["entropy", "--quiver", "K2", "--t-grid=-1,0,1"],
     ["sdim", "--quiver", "K2"],
     ["volume", "--quiver", "K2", "--lam", "2"],
+    ["entropy", "--quiver", "E7", "--t-grid=-1,0,1"],
+    ["entropy", "--quiver", "E8", "--t", "1"],
+    ["volume", "--quiver", "A2", "--lam", "2"],
+    ["stab", "mass", "--quiver", "A2", "--z=-1,0;0,1", "--t-grid=0,1"],
 ]
 
 
@@ -592,7 +596,7 @@ def test_import_and_numpy_free_commands_never_load_numpy(tmp_path):
     steps, runs = _modules_loaded(tmp_path, ("numpy",), NUMPY_FREE_ARGV)
     assert len(steps) == 2 + len(NUMPY_FREE_ARGV)
     assert steps == dict.fromkeys(steps, [])
-    assert [code for code, _ in runs] == [0, 0, 0, 0, 3, 0, 0, 0]
+    assert [code for code, _ in runs] == [0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]
 
 
 # one argv per subcommand, the numpy users included

@@ -46,6 +46,25 @@ def test_one_changed_output_is_caught(tmp_path, capsys):
     assert [d["argv"] for d in summary["differences"]] == [ARGVS[0]]
     assert summary["differences"][0]["fields"] == ["stdout"]
     assert "quiver-changed" in summary["differences"][0]["b"]["stdout"]
+    assert summary["differences"][0]["mismatch"] == "$.kind: 'quiver-changed' != 'quiver'"
+
+
+def test_a_float_within_the_answer_tolerance_has_a_null_mismatch(tmp_path):
+    # a last-digit change of a float shows in the bytes, and the answer
+    # check's verdict shows that it stays within the benchmark's 1e-9
+    tool = _tool()
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "sdlab" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    estimate = '"estimate": ent.entropy_estimate(q, t, ns.n_max, ns.budget),'
+    assert estimate in text
+    cli.write_text(text.replace(estimate, estimate[:-1] + " * (1 + 2**-50),"), encoding="utf-8")
+    # a CSV stdout is no JSON, so its entry has no mismatch
+    argv = ["entropy", "--quiver", "A4", "--t", "1"]
+    summary = tool.compare(ROOT, tmp_path, [argv, argv + ["--format", "csv"]])
+    assert [d["argv"] for d in summary["differences"]] == [argv, argv + ["--format", "csv"]]
+    assert summary["differences"][0]["mismatch"] is None
+    assert "mismatch" not in summary["differences"][1]
 
 def test_several_argv_files_follow_the_cli_cold_argv_in_order(tmp_path, capsys):
     tool = _tool()

@@ -1,4 +1,6 @@
+import json
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdlab.catalog
+import sdlab.cli
 import sdlab.derived
 import sdlab.entropy
 import sdlab.stability
@@ -644,6 +647,16 @@ def test_series_caches_are_bounded(fits):
     assert entropy_series.cache_info().maxsize == 64
 
 
+def test_the_cli_profile_fits_each_t_once_past_the_memo(fits, capsys):
+    # the table rows are the profile's own estimates, not 6 more fits of
+    # the t past the 64-t memo
+    ts = [j / 8.0 for j in range(70)]
+    assert sdlab.cli.main(["entropy", "--quiver", "A4", "--t-grid=" + ",".join(map(str, ts))]) == 0
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert len(fits) == 70
+    assert rows == [[t, entropy_estimate(parse_quiver("A4"), t, 30)] for t in ts]
+
+
 SWEEP_N_MAX = (*range(1, 62), 90, 120, 240)
 SWEEP_GRIDS = {
     "signed-zeros": (-0.0, 0.0, 1.0, -1.0, 0.0),
@@ -872,7 +885,9 @@ def test_volume_values():
     for q, n_max in ((parse_quiver("K3"), 30), (parse_quiver("K5"), 30), (parse_quiver("E7"), 2)):
         with pytest.raises(ConfigError, match="^volume leaves the float range; use a smaller lam$"):
             volume(q, 1e308, n_max)
-    assert volume(parse_quiver("E8"), 1e308) == 2.317838454138109e+297
+    # exp of the exact least-squares intercept, rounded once
+    # (test_fit_is_the_exact_intercept_rounded_once)
+    assert volume(parse_quiver("E8"), 1e308) == 2.3178384541383725e+297
 
 
 def test_profile_certifies_affine_entropy():
@@ -949,28 +964,33 @@ def _sampled(q, n_max, t):
     return fit, ns, [series.log_f(n, t) / n for n in ns]
 
 
-def _polyfit_intercept(ns, ys):
-    import numpy as np
-
-    return ys[0] if len(ns) == 1 else float(np.polyfit(
-        np.array([1.0 / n for n in ns]), np.array(ys), 1)[1])
+def _exact_intercept(ns, ys):
+    """float() of the exact least-squares intercept of y = a + b x over the
+    float inputs x = 1.0 / n, in Fractions: the float `_fit` must give, or
+    OverflowError past the float range.  One sample is its own intercept."""
+    if len(ns) == 1:
+        return ys[0]
+    xs, fys = [Fraction(1.0 / n) for n in ns], [Fraction(y) for y in ys]
+    sx, sy = sum(xs), sum(fys)
+    sxx, sxy = sum(x * x for x in xs), sum(x * y for x, y in zip(xs, fys))
+    return float((sxx * sy - sx * sxy) / (len(xs) * sxx - sx * sx))
 
 
 @pytest.mark.parametrize("text", ESTIMATOR_QUIVERS)
-def test_fit_is_polyfit_bit_for_bit(text):
+def test_fit_is_the_exact_intercept_rounded_once(text):
     q = parse_quiver(text)
     dyn = classify_dynkin(q)
     h = dyn.coxeter_number if dyn else 6
     for n_max in (*range(1, 2 * h + 2), 30, 60, 120, 240):
         for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
             fit, ns, ys = _sampled(q, n_max, t)
-            assert fit == _polyfit_intercept(ns, ys)
+            assert fit == _exact_intercept(ns, ys)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(text=st.sampled_from(("K2", "A4", "E8")), n_max=st.integers(1, 500),
        values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
-def test_fit_is_polyfit_bit_for_bit_on_drawn_values(text, n_max, values):
+def test_fit_is_the_exact_intercept_rounded_once_on_drawn_values(text, n_max, values):
     q = parse_quiver(text)
     ns = []
 
@@ -979,7 +999,32 @@ def test_fit_is_polyfit_bit_for_bit_on_drawn_values(text, n_max, values):
         return values[n % len(values)]
 
     fit = growth_rate(q, n_max, log_f)
-    assert fit == _polyfit_intercept(ns, [values[n % len(values)] / n for n in ns])
+    assert fit == _exact_intercept(ns, [values[n % len(values)] / n for n in ns])
+
+
+_MAGNITUDES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1.7e308, -1.7e308)),
+    st.builds(operator.mul, st.sampled_from((1.0, -1.0)), st.floats(1e-300, 1.7e308)),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=st.sampled_from(("K2", "A4", "E8")), n_max=st.integers(1, 500),
+       values=st.lists(_MAGNITUDES, min_size=1, max_size=40))
+@example(text="K2", n_max=2, values=[1.7e308, -1.7e308])  # 2 y_2 - y_1 = 5.1e308
+@example(text="A4", n_max=40, values=[1e-300, -0.0])
+def test_fit_rounds_mixed_magnitudes_once_or_raises_config_error(text, n_max, values):
+    # ys from 1e-300 to 1.7e308 share one fit: no scaling of a float may
+    # overflow, and an intercept past the float range is a ConfigError
+    ns = sdlab.entropy._samples(parse_quiver(text), n_max)
+    ys = [values[n % len(values)] for n in ns]
+    try:
+        want = _exact_intercept(ns, ys)
+    except OverflowError:
+        with pytest.raises(ConfigError, match="^the growth-rate fit leaves the float range"):
+            sdlab.entropy._fit(ns, ys)
+    else:
+        assert sdlab.entropy._fit(ns, ys) == want
 
 
 @pytest.mark.parametrize("text", ("A4", "E8"))

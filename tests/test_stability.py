@@ -453,6 +453,16 @@ def test_mass_growth_at_gepner_point():
         mass_growth(sigma, ())
 
 
+def test_mass_growth_fit_past_the_float_range_is_a_config_error(monkeypatch):
+    # finite log masses 1.7e308 at n = 1 and -1.7e308 at n = 2: the
+    # intercept 2 y_2 - y_1 = -3.4e308 leaves the float range
+    logs = itertools.cycle((1.7e308, -1.7e308))
+    monkeypatch.setattr(sdlab.stability, "log_sum_exp", lambda terms: next(logs))
+    sigma = make_stability(A2, [1j] * 2)
+    with pytest.raises(ConfigError, match="^the growth-rate fit leaves the float range"):
+        mass_growth(sigma, (1.0,), 2)
+
+
 def test_mass_growth_needs_semistable_orbit():
     sigma = make_stability(A2, (1.0 + 1j, -1.0 + 1j))
     with pytest.raises(NotAllSemistable):

@@ -9,8 +9,11 @@ PYTHONPATH, in a fresh temporary working directory.  The argv are the
 `SAMPLE_SEEDS[0]`, followed by the argv lists of each ARGV_FILE in turn,
 each a JSON list of lists of strings; so one run covers several files and
 the `cli-cold` argv only once.  Prints one JSON summary of the argv whose
-exit code, stdout or stderr differ, and exits 1 on any difference.
-Standard library only.
+exit code, stdout or stderr differ, and exits 1 on any difference.  Where
+the two stdouts differ and both parse as JSON, the entry's `mismatch` holds
+their first difference under the benchmark's answer check (`mismatch` in
+DIR_A's `perfbench/ops.py`, with DIR_A's output as the wanted one), or
+null when every float agrees within its tolerance.  Standard library only.
 """
 
 from __future__ import annotations
@@ -24,11 +27,17 @@ import tempfile
 from pathlib import Path
 
 
-def cli_cold_argvs(root: Path) -> list:
-    """The `cli-cold` argv of the checkout at `root`, at the first sample seed."""
+def _ops(root: Path):
+    """The `perfbench/ops.py` module of the checkout at `root`."""
     spec = importlib.util.spec_from_file_location("perfbench_ops", root / "perfbench" / "ops.py")
     ops = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ops)
+    return ops
+
+
+def cli_cold_argvs(root: Path) -> list:
+    """The `cli-cold` argv of the checkout at `root`, at the first sample seed."""
+    ops = _ops(root)
     seed = str(ops.SAMPLE_SEEDS[0])
     return [[a.replace("{sample_seed}", seed) for a in op["argv"]] for op in ops.CLI_OPS]
 
@@ -48,14 +57,25 @@ def _shown(value):
 
 
 def compare(a: Path, b: Path, argvs: list) -> dict:
-    """Every argv whose (exit, stdout, stderr) differ between the two roots."""
+    """Every argv whose (exit, stdout, stderr) differ between the two roots,
+    with the answer check's first difference of two JSON stdouts."""
+    mismatch = _ops(a).mismatch
     differences = []
     for argv in argvs:
         got = {"a": run_cli(a, argv), "b": run_cli(b, argv)}
         fields = [k for k in ("exit", "stdout", "stderr") if got["a"][k] != got["b"][k]]
-        if fields:
-            differences.append({"argv": argv, "fields": fields,
-                                **{side: {k: _shown(got[side][k]) for k in fields} for side in got}})
+        if not fields:
+            continue
+        entry = {"argv": argv, "fields": fields,
+                 **{side: {k: _shown(got[side][k]) for k in fields} for side in got}}
+        if "stdout" in fields:
+            try:
+                want, new = (json.loads(got[side]["stdout"]) for side in ("a", "b"))
+            except ValueError:
+                pass
+            else:
+                entry["mismatch"] = mismatch(new, want)
+        differences.append(entry)
     return {"a": str(a), "b": str(b), "argv_count": len(argvs), "differences": differences}
 
 
